@@ -14,6 +14,7 @@ sends every sink to its unique source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .terms import (
     Colour,
@@ -39,8 +40,7 @@ Source = tuple
 Sink = tuple
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: str
     word: Word = ()
 
@@ -61,9 +61,6 @@ class Netlist:
 
     def copy(self) -> "Netlist":
         return Netlist(self.in_type, self.out_type, dict(self.nodes), dict(self.wires), self.loops)
-
-    def fresh_id(self) -> int:
-        return max(self.nodes, default=-1) + 1
 
     def sink_of(self) -> dict[Source, Sink]:
         return {src: snk for snk, src in self.wires.items()}

@@ -11,34 +11,35 @@ netlists provides an independent check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotFound, NotQueryOptimal, PreconditionViolated
-from .netlist import Netlist, to_netlist
+from .netlist import Netlist, Node, node_signature, to_netlist
 from .query_opt import is_query_optimal, query_lower_bounds
-from .semantics import _ACTION, SemanticsTable, semantics_table, tables_equal
+from .semantics import SemanticsTable, chase, semantics_table, tables_equal
 from .stairs import StairForm, synthesize_stair_form
 from .terms import (
-    _FIXED_TYPES,
     _GATE_COLOUR,
     GATE_KINDS,
     NEG_KINDS,
     PBS_KINDS,
     Colour,
+    Configuration,
     Gen,
     Term,
     Trace,
     Word,
     configurations,
     count_pbs,
-    count_queries,
     ident,
-    letters_of,
+    letter_counts,
     par,
     seq,
 )
 
 T, V, H = Colour.T, Colour.V, Colour.H
+_GATE_KIND = {c: kind for kind, c in _GATE_COLOUR.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -65,63 +66,41 @@ class PgtForm:
         return body
 
 
-def _gate_first_touch_order(n: Netlist) -> list[int]:
-    """Gate nodes ordered by first use chasing inputs in position order."""
+def _cut_gates(n: Netlist) -> dict[int, Colour]:
+    """Gates to cut, in order of first use chasing inputs in position order.
+
+    Only gates that a photon reaches and that query an oracle are cut;
+    each takes the colour of the polarisations reaching it (T for both).
+    An empty-word gate is a plain wire and stays in the core.
+    """
     sink_at = n.sink_of()
-    order: list[int] = []
+    reach: dict[int, set[Colour]] = {}
     for pol, pos in configurations(n.in_type):
-        src: tuple = ("bin", pos)
-        seen: set = set()
-        while (src, pol) not in seen:
-            seen.add((src, pol))
-            snk = sink_at[src]
-            if snk[0] == "bout":
-                break
-            _, nid, k = snk
-            node = n.nodes[nid]
-            if node.kind in GATE_KINDS:
-                if nid not in order:
-                    order.append(nid)
-                src = ("nout", nid, 0)
-            else:
-                pol, k2 = _ACTION[node.kind][(pol, k)]
-                src = ("nout", nid, k2)
-    for nid in sorted(n.nodes):
-        if n.nodes[nid].kind in GATE_KINDS and nid not in order:
-            order.append(nid)
-    return order
+        for nid, p in chase(sink_at, n.nodes, ("bin", pos), pol)[2]:
+            if n.nodes[nid].word:
+                reach.setdefault(nid, set()).add(p)
+    return {nid: T if len(pols) == 2 else pols.pop() for nid, pols in reach.items()}
 
 
-def _residual_table(n: Netlist, gate_order: list[int]) -> SemanticsTable:
+def _residual_table(n: Netlist, cut: dict[int, Colour]) -> SemanticsTable:
     """Table of the diagram with every gate cut onto a boundary pair.
 
     Gate i's input port becomes extra output |b|+i and its output port
     extra input |a|+i, so the residual is gate-free by construction.
     """
-    slot = {nid: i for i, nid in enumerate(gate_order)}
-    cs = tuple(_GATE_COLOUR[n.nodes[nid].kind] for nid in gate_order)
-    rin, rout = n.in_type + cs, n.out_type + cs
+    slot = {nid: i for i, nid in enumerate(cut)}
+    cs = tuple(cut.values())
     sink_at = n.sink_of()
 
-    def chase(src: tuple, pol: Colour) -> tuple[Colour, int]:
-        for _ in range(2 * len(n.wires) + 2):
-            snk = sink_at[src]
-            if snk[0] == "bout":
-                return (pol, snk[1])
-            _, nid, k = snk
-            if nid in slot:
-                return (pol, len(n.out_type) + slot[nid])
-            pol, k2 = _ACTION[n.nodes[nid].kind][(pol, k)]
-            src = ("nout", nid, k2)
-        raise AssertionError("cut chase failed to exit")
+    def exit_of(src: tuple, pol: Colour) -> tuple[Configuration, Word]:
+        end, pol, _ = chase(sink_at, n.nodes, src, pol, slot)
+        return (pol, end[1] if end[0] == "bout" else len(n.out_type) + slot[end[1]]), ()
 
-    entries = {}
-    for pol, pos in configurations(n.in_type):
-        entries[(pol, pos)] = (chase(("bin", pos), pol), ())
-    for i, nid in enumerate(gate_order):
-        for pol in (V, H) if cs[i] == T else (cs[i],):
-            entries[(pol, len(n.in_type) + i)] = (chase(("nout", nid, 0), pol), ())
-    return SemanticsTable(rin, rout, entries)
+    entries = {(pol, pos): exit_of(("bin", pos), pol) for pol, pos in configurations(n.in_type)}
+    for i, (nid, c) in enumerate(cut.items()):
+        for pol in (V, H) if c == T else (c,):
+            entries[(pol, len(n.in_type) + i)] = exit_of(("nout", nid, 0), pol)
+    return SemanticsTable(n.in_type + cs, n.out_type + cs, entries)
 
 
 def to_pgt_form(d: Term) -> PgtForm:
@@ -129,21 +108,24 @@ def to_pgt_form(d: Term) -> PgtForm:
     if not is_query_optimal(d):
         raise NotQueryOptimal("diagram does not meet its query lower bounds")
     n = to_netlist(d)
-    gate_order = _gate_first_touch_order(n)
-    core = synthesize_stair_form(_residual_table(n, gate_order))
-    gates = tuple(Gen(n.nodes[nid].kind, n.nodes[nid].word) for nid in gate_order)
+    cut = _cut_gates(n)
+    core = synthesize_stair_form(_residual_table(n, cut))
+    gates = tuple(Gen(_GATE_KIND[c], n.nodes[nid].word) for nid, c in cut.items())
     form = PgtForm(gates, core)
     out = form.as_term()
-    assert tables_equal(semantics_table(out), semantics_table(d))
-    assert count_pbs(out) <= count_pbs(d)
-    assert all(count_queries(out, u) == count_queries(d, u) for u in letters_of(d))
+    if not tables_equal(semantics_table(out), semantics_table(d)):
+        raise AssertionError("PGT form changes the action table")
+    if count_pbs(out) > count_pbs(d):
+        raise AssertionError("PGT form uses more PBS than its input")
+    if letter_counts(out) != letter_counts(d):
+        raise AssertionError("PGT form changes the query counts")
     return form
 
 
 def is_query_pbs_optimal_single(d: Term) -> bool:
     """Certified optimality when no oracle letter is queried twice."""
-    for u in letters_of(d):
-        if count_queries(d, u) > 1:
+    for u, k in letter_counts(d).items():
+        if k > 1:
             raise PreconditionViolated(f"oracle {u!r} is queried more than once")
     if not is_query_optimal(d):
         return False
@@ -154,7 +136,7 @@ def is_query_pbs_optimal_single(d: Term) -> bool:
 # brute-force minimum
 # ---------------------------------------------------------------------------
 
-def _gate_options(bounds: dict[str, int]) -> list[tuple[tuple[str, Word], ...]]:
+def _gate_options(bounds: dict[str, int]) -> list[tuple[Node, ...]]:
     """All gate multisets whose letter counts hit the bounds exactly."""
     letters: list[str] = []
     for u in sorted(bounds):
@@ -169,27 +151,21 @@ def _gate_options(bounds: dict[str, int]) -> list[tuple[tuple[str, Word], ...]]:
                     start = i
             words.append(perm[start:])
             word_splits.add(tuple(sorted(w for w in words if w)))
-    options: set[tuple[tuple[str, Word], ...]] = set()
+    options: set[tuple[Node, ...]] = set()
     for words in word_splits:
         for kinds in itertools.product(sorted(GATE_KINDS), repeat=len(words)):
-            options.add(tuple(sorted(zip(kinds, words))))
+            options.add(tuple(sorted(map(Node, kinds, words))))
     return sorted(options)
 
 
-def _ports(kind: str, word: Word) -> tuple[tuple[Colour, ...], tuple[Colour, ...]]:
-    if kind in GATE_KINDS:
-        c = _GATE_COLOUR[kind]
-        return (c,), (c,)
-    return _FIXED_TYPES[kind]
-
-
-def _realises(t: SemanticsTable, nodes: list[tuple[str, Word]]) -> bool:
+def _realises(t: SemanticsTable, nodes: list[Node]) -> bool:
     """Search for a wiring of the given nodes whose table equals t.
 
     Wires are laid down lazily, driven by chasing one input photon at a
-    time; a photon exiting on the wrong row kills the branch at once.
-    Untouched copies of identical nodes are interchangeable, so only
-    the least-numbered one may be wired first.
+    time over the partial wiring: the unwired source it reaches is the
+    branch point, and a photon exiting on the wrong row or circling
+    kills the branch at once.  Untouched copies of identical nodes are
+    interchangeable, so only the least-numbered one may be wired first.
     """
     src_colour: dict[tuple, Colour] = {}
     snk_colour: dict[tuple, Colour] = {}
@@ -197,8 +173,8 @@ def _realises(t: SemanticsTable, nodes: list[tuple[str, Word]]) -> bool:
         src_colour[("bin", p)] = c
     for q, c in enumerate(t.out_type):
         snk_colour[("bout", q)] = c
-    for i, (kind, word) in enumerate(nodes):
-        ins, outs = _ports(kind, word)
+    for i, node in enumerate(nodes):
+        ins, outs = node_signature(node)
         for k, c in enumerate(ins):
             snk_colour[("nin", i, k)] = c
         for k, c in enumerate(outs):
@@ -243,31 +219,18 @@ def _realises(t: SemanticsTable, nodes: list[tuple[str, Word]]) -> bool:
         if i == len(starts):
             return True
         (pol, pos), (target, target_word) = starts[i]
-        src: tuple = ("bin", pos)
-        word: list[str] = []
-        seen: set = set()
-        while True:
-            if (src, pol) in seen:
-                return False
-            seen.add((src, pol))
-            snk = wiring.get(src)
-            if snk is None:
-                for cand in candidates(src_colour[src]):
-                    place(src, cand)
-                    if advance(i):
-                        return True
-                    unplace(src, cand)
-                return False
-            if snk[0] == "bout":
-                return (pol, snk[1]) == target and tuple(word) == target_word and advance(i + 1)
-            _, j, k = snk
-            kind, gword = nodes[j]
-            if kind in GATE_KINDS:
-                word.extend(gword)
-                src = ("nout", j, 0)
-            else:
-                pol, k2 = _ACTION[kind][(pol, k)]
-                src = ("nout", j, k2)
+        end, pol, gates = chase(wiring, nodes, ("bin", pos), pol)
+        if end is None:
+            return False
+        if end[0] == "bout":
+            word = tuple(u for j, _ in gates for u in nodes[j].word)
+            return (pol, end[1]) == target and word == target_word and advance(i + 1)
+        for cand in candidates(src_colour[end]):
+            place(end, cand)
+            if advance(i):
+                return True
+            unplace(end, cand)
+        return False
 
     return advance(0)
 
@@ -287,27 +250,21 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     if sum(bounds.values()) > 2:
         raise PreconditionViolated("more than 2 oracle letters in the table")
 
-    from collections import Counter
-
     gate_sets = _gate_options(bounds)
     neg_sets = [
         negs
         for nn in range(neg_budget + 1)
-        for negs in itertools.combinations_with_replacement(sorted(NEG_KINDS), nn)
+        for negs in itertools.combinations_with_replacement(map(Node, sorted(NEG_KINDS)), nn)
     ]
     for n_pbs in range(max_pbs + 1):
-        for pbs_kinds in itertools.combinations_with_replacement(sorted(PBS_KINDS), n_pbs):
+        for pbs in itertools.combinations_with_replacement(map(Node, sorted(PBS_KINDS)), n_pbs):
             for negs in neg_sets:
                 for gates in gate_sets:
-                    nodes = (
-                        [(kind, ()) for kind in pbs_kinds]
-                        + [(kind, ()) for kind in negs]
-                        + [(kind, w) for kind, w in gates]
-                    )
+                    nodes = [*pbs, *negs, *gates]
                     src_count = Counter(t.in_type)
                     snk_count = Counter(t.out_type)
-                    for kind, word in nodes:
-                        ins, outs = _ports(kind, word)
+                    for node in nodes:
+                        ins, outs = node_signature(node)
                         src_count.update(outs)
                         snk_count.update(ins)
                     if src_count != snk_count:

@@ -17,7 +17,7 @@ from .netlist import Netlist, to_netlist, to_term
 from .normal_form import equivalent, normalize
 from .rewrite import ProofStep, RuleInstance, apply, find_matches
 from .semantics import SemanticsTable, semantics_table
-from .terms import Term, Word, count_queries, letters_of, term_size
+from .terms import Term, Word, letter_counts, term_size
 
 # ---------------------------------------------------------------------------
 # counting and the lower bound
@@ -30,7 +30,8 @@ class QueryProfile:
 
     def __post_init__(self) -> None:
         for u, lb in self.lower_bounds.items():
-            assert self.counts.get(u, 0) >= lb, f"count for {u} below its lower bound"
+            if self.counts.get(u, 0) < lb:
+                raise AssertionError(f"count for {u} below its lower bound")
 
     def as_tsv(self) -> str:
         names = sorted(set(self.counts) | set(self.lower_bounds))
@@ -49,7 +50,8 @@ def query_lower_bounds(t: SemanticsTable) -> dict[str, int]:
 
 def query_profile(d: Term) -> QueryProfile:
     bounds = query_lower_bounds(semantics_table(to_netlist(d)))
-    counts = {u: count_queries(d, u) for u in sorted(letters_of(d) | set(bounds))}
+    queries = letter_counts(d)
+    counts = {u: queries[u] for u in sorted(set(queries) | set(bounds))}
     return QueryProfile(counts, bounds)
 
 
@@ -136,8 +138,11 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     assert len(labels) == len(set(labels)) and all(len(w) == 1 for w in labels)
     out = to_term(n)
     bounds = query_lower_bounds(semantics_table(n))
-    assert all(count_queries(out, u) == k for u, k in bounds.items())
-    assert equivalent(out, d)
+    queries = letter_counts(out)
+    if not all(queries[u] == k for u, k in bounds.items()):
+        raise AssertionError("optimised diagram misses a query lower bound")
+    if not equivalent(out, d):
+        raise AssertionError("optimised diagram is not equivalent to its input")
     return out, steps
 
 

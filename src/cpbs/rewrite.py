@@ -403,10 +403,6 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
 # soundness
 # ---------------------------------------------------------------------------
 
-def _fresh_letters(k: int, tag: str) -> list[str]:
-    return [f"{tag}{i}" for i in range(k)]
-
-
 def check_soundness(rule_id: str, samples: int = 5, seed: int = 0) -> bool:
     """Semantic equality of both rule sides under word instantiations.
 

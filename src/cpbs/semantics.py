@@ -10,9 +10,10 @@ order (first crossed first).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container, Mapping, Sequence
 
 from .errors import InvalidConfiguration, NonTermination
-from .netlist import Netlist, to_netlist
+from .netlist import Netlist, Node, Sink, Source, to_netlist
 from .terms import Colour, Configuration, GATE_KINDS, Term, WireType, Word, configurations
 
 V, H = Colour.V, Colour.H
@@ -50,6 +51,53 @@ def _coerce(n: Netlist | Term) -> Netlist:
     return n if isinstance(n, Netlist) else to_netlist(n)
 
 
+def chase(
+    sink_at: Mapping[Source, Sink],
+    nodes: Mapping[int, Node] | Sequence[Node],
+    src: Source,
+    pol: Colour,
+    stop: Container[int] = (),
+) -> tuple[Source | Sink | None, Colour, list[tuple[int, Colour]]]:
+    """Follow one photon leaving the wire source ``src`` as ``pol``.
+
+    Returns ``(end, pol, gates)``: where the walk ended, the photon's
+    polarisation there, and the gate nodes it crossed in order, each
+    with the polarisation it entered with.  The walk ends at a boundary
+    sink ``("bout", j)``, at the input ``("nin", n, k)`` of a node ``n``
+    in ``stop``, at a source that ``sink_at`` does not wire (returned
+    as ``end``), or on revisiting a (source, polarisation) state, where
+    ``end`` is None.
+    """
+    gates: list[tuple[int, Colour]] = []
+    seen: set[tuple[Source, Colour]] = set()
+    while (src, pol) not in seen:
+        seen.add((src, pol))
+        snk = sink_at.get(src)
+        if snk is None:
+            return src, pol, gates
+        if snk[0] == "bout":
+            return snk, pol, gates
+        _, nid, k = snk
+        if nid in stop:
+            return snk, pol, gates
+        kind = nodes[nid].kind
+        if kind in GATE_KINDS:
+            gates.append((nid, pol))
+            src = ("nout", nid, 0)
+        else:
+            pol, k = _ACTION[kind][(pol, k)]
+            src = ("nout", nid, k)
+    return None, pol, gates
+
+
+def _exit(n: Netlist, sink_at: dict[Source, Sink], start: Configuration) -> tuple[Configuration, Word]:
+    pol, pos = start
+    end, pol, gates = chase(sink_at, n.nodes, ("bin", pos), pol)
+    if end is None:
+        raise NonTermination(f"photon entering at {start!r} circles forever")
+    return (pol, end[1]), tuple(u for nid, _ in gates for u in n.nodes[nid].word)
+
+
 def evaluate(n: Netlist | Term, start: Configuration) -> tuple[Configuration, Word]:
     """Follow one photon from an input configuration to its exit.
 
@@ -65,34 +113,14 @@ def evaluate(n: Netlist | Term, start: Configuration) -> tuple[Configuration, Wo
         raise InvalidConfiguration(
             f"wire {pos} has colour {n.in_type[pos].value}, not {pol.value}"
         )
-
-    sink_at = n.sink_of()
-    word: list[str] = []
-    src: tuple = ("bin", pos)
-    seen: set[tuple] = set()
-    limit = 2 * len(n.wires) + 2
-    for _ in range(limit):
-        if (src, pol) in seen:
-            raise NonTermination(f"photon loops through {src!r} as {pol.value}")
-        seen.add((src, pol))
-        snk = sink_at[src]
-        if snk[0] == "bout":
-            return (pol, snk[1]), tuple(word)
-        _, nid, k = snk
-        node = n.nodes[nid]
-        if node.kind in GATE_KINDS:
-            word.extend(node.word)
-            src = ("nout", nid, 0)
-        else:
-            pol, k2 = _ACTION[node.kind][(pol, k)]
-            src = ("nout", nid, k2)
-    raise NonTermination("photon exceeded the step bound")
+    return _exit(n, n.sink_of(), start)
 
 
 def semantics_table(n: Netlist | Term) -> SemanticsTable:
     """The full action of a diagram on all admitted input configurations."""
     n = _coerce(n)
-    entries = {c: evaluate(n, c) for c in configurations(n.in_type)}
+    sink_at = n.sink_of()
+    entries = {c: _exit(n, sink_at, c) for c in configurations(n.in_type)}
     return SemanticsTable(n.in_type, n.out_type, entries)
 
 

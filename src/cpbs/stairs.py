@@ -280,10 +280,14 @@ def _align(bw, sw):
         assert bd == sd
         cbi, p, cbo, q = be
         csi, s, cso, s2 = se
-        assert s_in.setdefault(p, s) == s
-        assert s_out.setdefault(s2, q) == q
-        assert pre.setdefault(s, cbi != csi) == (cbi != csi)
-        assert post.setdefault(s2, cbo != cso) == (cbo != cso)
+        # the setdefault calls build the maps, so this must not be an assert
+        if (
+            s_in.setdefault(p, s) != s
+            or s_out.setdefault(s2, q) != q
+            or pre.setdefault(s, cbi != csi) != (cbi != csi)
+            or post.setdefault(s2, cbo != cso) != (cbo != cso)
+        ):
+            raise AssertionError("block walk and staircase walk disagree")
     negs = sum(pre.values()) + sum(post.values())
     return negs, s_in, s_out, pre, post
 

@@ -10,6 +10,7 @@ V (red, vertical only) and H (blue, horizontal only).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -348,8 +349,17 @@ def generators(d: Term) -> Iterator[Gen]:
         yield from generators(d.body)
 
 
+def letter_counts(d: Term) -> Counter[str]:
+    """Queries per oracle letter, summed over every gate in one walk."""
+    out: Counter[str] = Counter()
+    for g in generators(d):
+        if g.kind in GATE_KINDS:
+            out.update(g.word)
+    return out
+
+
 def count_queries(d: Term, u: str) -> int:
-    return sum(g.word.count(u) for g in generators(d) if g.kind in GATE_KINDS)
+    return letter_counts(d)[u]
 
 
 def count_pbs(d: Term) -> int:
@@ -366,11 +376,7 @@ def count_generators(d: Term) -> int:
 
 
 def letters_of(d: Term) -> set[str]:
-    out: set[str] = set()
-    for g in generators(d):
-        if g.kind in GATE_KINDS:
-            out.update(g.word)
-    return out
+    return set(letter_counts(d))
 
 
 def term_size(d: Term) -> int:

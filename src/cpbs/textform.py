@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .terms import (
+    _LETTER_RE,
     Colour,
     Empty,
     Gen,
@@ -45,7 +46,6 @@ _SIG_KINDS = {
 }
 _KIND_SIGS = {kind: sig for sig, kind in _SIG_KINDS.items()}
 
-_LETTER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"[A-Za-z]+(\[[^\]\[]*\])?|[;|()]|\S")
 
 

@@ -1,7 +1,14 @@
 """PGT forms, single-query optimality certificates, brute-force floor."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import cpbs
 from cpbs.errors import NotFound, NotQueryOptimal, PreconditionViolated
 from cpbs.normal_form import equivalent
 from cpbs.pgt import (
@@ -35,6 +42,7 @@ from cpbs.terms import (
     split_vh,
     swap,
 )
+from cpbs.textform import parse
 
 T, V, H = Colour.T, Colour.V, Colour.H
 
@@ -45,6 +53,18 @@ def switch():
 
 def uu_switch():
     return Trace(T, seq(pbs4(), par(gate_t("U"), gate_t("U")), swap(T, T), pbs4()))
+
+
+# query-optimal diagrams whose PGT form costs a PBS too many unless a cut
+# gate takes the colour of the photons reaching it (the first two: black
+# gates only H photons reach) and an empty-word gate stays a plain wire
+CUT_GATE_CASES = [
+    "tr[T](swap[H,H] | id[T] ; id[H] | id[H] | gate[U] ; id[H] | id[H] | neg"
+    " ; id[H] | pbs[HT.HT] ; id[H] | id[H] | neg)",
+    "tr[H](pbs[TH.TH] ; gate[U] | id[H] ; swap[T,H] ; id[H] | gate[V] ; id[H] | split)",
+    "swap[H,T] ; split | id[H] ; merge | id[H] ; split | id[H] ; id[V] | id[H] | gate[W,H]"
+    " ; gate[,V] | id[H] | id[H] ; merge | id[H]",
+]
 
 
 def one_query_both_colours():
@@ -92,6 +112,40 @@ class TestToPgtForm:
         form = to_pgt_form(switch())
         again = to_pgt_form(form.as_term())
         assert again.count_pbs() == form.count_pbs()
+
+    def test_postconditions_survive_optimised_python(self):
+        # a wrong stair core or a wrong optimiser output must still raise
+        # when asserts are compiled away
+        script = textwrap.dedent(
+            """
+            import cpbs.pgt as pgt
+            import cpbs.query_opt as query_opt
+            from cpbs.gallery import quantum_switch, three_query_circuit
+            from cpbs.semantics import SemanticsTable
+            from cpbs.terms import configurations, gate_t, seq
+
+            real = pgt.synthesize_stair_form
+            pgt.synthesize_stair_form = lambda t: real(SemanticsTable(
+                t.in_type, t.out_type, {c: (c, ()) for c in configurations(t.in_type)}))
+            query_opt.to_term = lambda n: seq(gate_t("U"), gate_t("V"))
+            for run in (lambda: pgt.to_pgt_form(quantum_switch()),
+                        lambda: query_opt.optimize_queries(three_query_circuit())):
+                try:
+                    run()
+                except AssertionError as e:
+                    print("raised:", e)
+            """
+        )
+        src = str(Path(cpbs.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        assert out.splitlines() == [
+            "raised: PGT form changes the action table",
+            "raised: optimised diagram is not equivalent to its input",
+        ]
 
 
 class TestSingleQueryCertificate:
@@ -184,6 +238,10 @@ class TestBruteForce:
             assert brute_force_min_pbs(t, 4, neg_budget=budget) == pbs_lower_bound(t)
 
     def test_matches_pipeline_on_single_query_diagrams(self):
+        for d in map(parse, CUT_GATE_CASES):
+            t = semantics_table(d)
+            assert to_pgt_form(d).count_pbs() == brute_force_min_pbs(t, 4) < count_pbs(d)
+            assert is_query_pbs_optimal_single(d) is False
         checked = 0
         seed = 0
         while checked < 12:

@@ -20,6 +20,7 @@ from cpbs.terms import (
     gate_v,
     ident,
     identity_of,
+    letter_counts,
     letters_of,
     merge_hv,
     merge_vh,
@@ -131,6 +132,7 @@ def test_counts():
     assert count_neg(d) == 1
     assert count_generators(d) == 5
     assert letters_of(d) == {"U", "V"}
+    assert letter_counts(d) == {"U": 2, "V": 2}
     assert term_size(seq(gate_t("UVW"), neg_t())) == 4
 
 
