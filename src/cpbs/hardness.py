@@ -19,10 +19,9 @@ from .errors import (
     LengthMismatch,
     NotEulerian,
 )
-from .netlist import _route
 from .semantics import semantics_table, tables_equal
 from .stairs import Staircase
-from .terms import Colour, Empty, Term, Word, count_pbs, gate_t, ident, neg_t, par, seq
+from .terms import Colour, Empty, Term, Word, count_pbs, gate_t, ident, neg_t, par, permute, seq
 
 T = Colour.T
 
@@ -172,8 +171,7 @@ def _router(sigma: tuple[int, ...]) -> Term:
     inverse = [0] * n
     for p, s in enumerate(slot):
         inverse[s] = p
-    layers = _route([T] * n, slot) + [par(*ladders)] + _route([T] * n, inverse)
-    return seq(*layers)
+    return seq(*permute([T] * n, slot), par(*ladders), *permute([T] * n, inverse))
 
 
 def build_C_w_sigma(w: Word, sigma: tuple[int, ...]) -> Term:
@@ -324,6 +322,8 @@ def diagram_from_decomposition(g: EulerianGraph, dec: CycleDecomposition) -> Ter
         inverse[q] = p
     gates = par(*(gate_t((arcs[p][0],)) for p in range(g.n)))
     out = seq(negs, _router(sigma), gates, _router(tuple(inverse)), negs)
-    assert count_pbs(out) == 2 * (g.n - dec.r)
-    assert tables_equal(semantics_table(out), semantics_table(build_C_w_sigma(ref.w, ref.sigma)))
+    if count_pbs(out) != 2 * (g.n - dec.r):
+        raise AssertionError("reduction diagram misses 2(|edges| - r) PBS")
+    if not tables_equal(semantics_table(out), semantics_table(build_C_w_sigma(ref.w, ref.sigma))):
+        raise AssertionError("reduction diagram changes the reference table")
     return out

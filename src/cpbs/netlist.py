@@ -2,8 +2,8 @@
 
 A netlist forgets the syntactic bracketing of a term and keeps only
 what is drawn: boxes (generator occurrences), wires between ports, and
-closed loops carrying no box at all.  Identities, swaps and traces
-dissolve into the wiring.
+closed loops carrying no box at all.  Identities, swaps, wire
+permutations and traces dissolve into the wiring.
 
 Ports are addressed by tuples.  Wire sources are ``("bin", i)`` (the
 i-th diagram input) or ``("nout", n, k)`` (output k of node n); wire
@@ -139,6 +139,12 @@ def to_netlist(d: Term) -> Netlist:
                 v0 = fresh_virtual(t.colours[0])
                 v1 = fresh_virtual(t.colours[1])
                 return [v0, v1], [v1, v0]
+            if t.kind == "perm":
+                vs = [fresh_virtual(c) for c in t.colours]
+                outs = list(vs)
+                for v, s in zip(vs, t.slots):
+                    outs[s] = v
+                return vs, outs
             n = counters["node"]
             counters["node"] += 1
             nodes[n] = Node(t.kind, t.word)
@@ -338,24 +344,6 @@ def _find_back_wire(n: Netlist, wires: dict[Sink, Source]) -> tuple[Sink, Source
     return None
 
 
-def _route(colours: list[Colour], perm: list[int]) -> list[Term]:
-    """Adjacent-swap layers sending the wire in slot i to slot perm[i]."""
-    arr = list(range(len(perm)))
-    layers: list[Term] = []
-    changed = True
-    while changed:
-        changed = False
-        for s in range(len(arr) - 1):
-            if perm[arr[s]] > perm[arr[s + 1]]:
-                c0, c1 = colours[arr[s]], colours[arr[s + 1]]
-                cells = [ident(colours[arr[t]]) for t in range(len(arr))]
-                cells[s : s + 2] = [swap(c0, c1)]
-                layers.append(par(*cells))
-                arr[s], arr[s + 1] = arr[s + 1], arr[s]
-                changed = True
-    return layers
-
-
 def to_term(n: Netlist) -> Term:
     """Extract a term drawing the given netlist.
 
@@ -395,6 +383,23 @@ def to_term(n: Netlist) -> Term:
                 out.append(n.source_colour(src))
         return out
 
+    # draws each permutation in the paper's generators: one layer per adjacent swap
+    def swap_layers(colours: list[Colour], slots: list[int]) -> list[Term]:
+        arr = list(range(len(slots)))
+        out: list[Term] = []
+        changed = True
+        while changed:
+            changed = False
+            for s in range(len(arr) - 1):
+                if slots[arr[s]] > slots[arr[s + 1]]:
+                    c0, c1 = colours[arr[s]], colours[arr[s + 1]]
+                    cells = [ident(colours[arr[t]]) for t in range(len(arr))]
+                    cells[s : s + 2] = [swap(c0, c1)]
+                    out.append(par(*cells))
+                    arr[s], arr[s + 1] = arr[s + 1], arr[s]
+                    changed = True
+        return out
+
     while remaining:
         ready = [
             nid
@@ -408,8 +413,8 @@ def to_term(n: Netlist) -> Term:
         dest = min(frontier.index(s) for s in srcs)
         others = [s for s in frontier if s not in chosen]
         new_front = others[:dest] + srcs + others[dest:]
-        perm = [new_front.index(s) for s in frontier]
-        layers.extend(_route(colours_of(frontier), perm))
+        slots = [new_front.index(s) for s in frontier]
+        layers.extend(swap_layers(colours_of(frontier), slots))
         frontier = new_front
 
         sig_in, sig_out = node_signature(n.nodes[nid])
@@ -421,8 +426,8 @@ def to_term(n: Netlist) -> Term:
         remaining.discard(nid)
 
     if frontier:
-        perm = [sink_of[src][1] for src in frontier]
-        layers.extend(_route(colours_of(frontier), perm))
+        slots = [sink_of[src][1] for src in frontier]
+        layers.extend(swap_layers(colours_of(frontier), slots))
 
     if layers:
         core = seq(*layers)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotBijective, PreconditionViolated, TypeMismatch
-from .netlist import _route, to_netlist
+from .netlist import to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
     Colour,
@@ -27,10 +27,12 @@ from .terms import (
     gate_h,
     gate_v,
     ident,
+    identity_of,
     merge_vh,
     neg_hv,
     neg_vh,
     par,
+    permute,
     seq,
     split_vh,
     type_of,
@@ -102,10 +104,8 @@ class NormalForm:
     @property
     def P(self) -> Term:
         colours = [l.target[0] for l in self.lines]
-        layers = _route(colours, list(self.permutation))
-        if not layers:
-            return par(*(ident(c) for c in colours)) if colours else Empty()
-        return seq(*layers)
+        layers = permute(colours, self.permutation)
+        return layers[0] if layers else identity_of(tuple(colours))
 
     @property
     def M(self) -> Term:
@@ -135,7 +135,8 @@ def synthesize_nf(t: SemanticsTable) -> NormalForm:
         NfLine(cfg, t.entries[cfg][0], t.entries[cfg][1]) for cfg in configurations(t.in_type)
     )
     nf = NormalForm(t.in_type, t.out_type, lines)
-    assert tables_equal(semantics_table(nf.as_term()), t)
+    if not tables_equal(semantics_table(nf.as_term()), t):
+        raise AssertionError("normal form changes the action table")
     return nf
 
 
@@ -195,6 +196,8 @@ def _lines_of(d: Term) -> _LineMap:
             for c, p in configurations(a):
                 out[(c, p)] = ((c, 1 - p), ())
             return out
+        if d.kind == "perm":
+            return {(c, p): ((c, d.slots[p]), ()) for c, p in configurations(d.colours)}
         word = d.word if d.kind.startswith("gate") else ()
         return {src: (dst, word) for src, dst in _GEN_LINES[d.kind].items()}
     if isinstance(d, Seq):

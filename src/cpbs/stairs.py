@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HasGates, NotBijective
-from .netlist import _route
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
     Colour,
@@ -32,6 +31,7 @@ from .terms import (
     pbs_th_th,
     pbs_tv_vt,
     pbs_vt_tv,
+    permute,
     seq,
     split_hv,
 )
@@ -334,7 +334,7 @@ class StairForm:
         if not self.in_type and not self.out_type:
             return Empty()
         layers: list[Term] = []
-        layers.extend(_route(list(self.in_type), list(self.sigma1)))
+        layers.extend(permute(self.in_type, self.sigma1))
 
         def neg_layer(before: WireType, negs: tuple[bool, ...], after: WireType) -> Term:
             cells = []
@@ -357,7 +357,7 @@ class StairForm:
         layers.append(par(*(sc.as_term() for sc in self.cases)))
         post_colours = tuple(self.out_type[q] for q in self.sigma2)
         layers.append(neg_layer(self.slot_out_type, self.post_negs, post_colours))
-        layers.extend(_route(list(post_colours), list(self.sigma2)))
+        layers.extend(permute(post_colours, self.sigma2))
         return seq(*layers)
 
 
@@ -409,6 +409,8 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
         tuple(sigma2[s] for s in range(off_out)),
     )
     result = sf.as_term()
-    assert tables_equal(semantics_table(result), t)
-    assert count_pbs(result) == sf.count_pbs() == pbs_lower_bound(t)
+    if not tables_equal(semantics_table(result), t):
+        raise AssertionError("stair form changes the action table")
+    if not count_pbs(result) == sf.count_pbs() == pbs_lower_bound(t):
+        raise AssertionError("stair form misses the PBS lower bound")
     return sf

@@ -1,10 +1,10 @@
 """Diagram terms for the coloured-PBS calculus.
 
 A diagram is a term over generators (beam splitters, negations, gates,
-identities, swaps) combined by sequential composition, parallel
-composition and a feedback trace on the last wire position.  Wire types
-are sequences of colours: T (black, carries both polarisations),
-V (red, vertical only) and H (blue, horizontal only).
+identities, swaps, wire permutations) combined by sequential
+composition, parallel composition and a feedback trace on the last wire
+position.  Wire types are sequences of colours: T (black, carries both
+polarisations), V (red, vertical only) and H (blue, horizontal only).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class Colour(str, Enum):
@@ -88,7 +88,7 @@ PBS_KINDS = frozenset(
 )
 NEG_KINDS = frozenset({"neg_t", "neg_vh", "neg_hv"})
 GATE_KINDS = frozenset({"gate_t", "gate_v", "gate_h"})
-STRUCT_KINDS = frozenset({"id", "swap"})
+STRUCT_KINDS = frozenset({"id", "swap", "perm"})
 
 # fixed signatures of the non-parametric generators
 _FIXED_TYPES: dict[str, tuple[WireType, WireType]] = {
@@ -126,8 +126,11 @@ class Gen(Term):
     kind: str
     word: Word = ()
     colours: tuple[Colour, ...] = ()
+    slots: tuple[int, ...] = ()  # perm only: the output slot of each input wire
 
     def __post_init__(self) -> None:
+        if self.slots and self.kind != "perm":
+            raise ValueError(f"{self.kind} takes no slots")
         if self.kind in _FIXED_TYPES:
             if self.word or self.colours:
                 raise ValueError(f"{self.kind} takes no parameters")
@@ -140,6 +143,11 @@ class Gen(Term):
         elif self.kind == "swap":
             if len(self.colours) != 2 or self.word:
                 raise ValueError("swap takes exactly two colours")
+        elif self.kind == "perm":
+            if not self.colours or self.word:
+                raise ValueError("perm takes one or more colours and no word")
+            if sorted(self.slots) != list(range(len(self.colours))):
+                raise ValueError(f"perm slots {self.slots} do not permute {len(self.colours)} wires")
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
@@ -151,6 +159,11 @@ class Gen(Term):
             return (c,), (c,)
         if self.kind == "id":
             return self.colours, self.colours
+        if self.kind == "perm":
+            out = [T] * len(self.colours)
+            for c, s in zip(self.colours, self.slots):
+                out[s] = c
+            return self.colours, tuple(out)
         # swap
         c1, c2 = self.colours
         return (c1, c2), (c2, c1)
@@ -255,6 +268,18 @@ def swap(c1: Colour, c2: Colour) -> Gen:
     return Gen("swap", colours=(c1, c2))
 
 
+def perm(colours: Sequence[Colour], slots: Sequence[int]) -> Gen:
+    """Wires coloured ``colours``, the wire in slot i sent to slot ``slots[i]``."""
+    return Gen("perm", colours=tuple(colours), slots=tuple(slots))
+
+
+def permute(colours: Sequence[Colour], slots: Sequence[int]) -> list[Term]:
+    """The layers drawing a wire permutation: one perm, none for the identity."""
+    if list(slots) == list(range(len(slots))):
+        return []
+    return [perm(colours, slots)]
+
+
 def seq(*ds: Term) -> Term:
     if not ds:
         return Empty()
@@ -336,7 +361,7 @@ def configurations(t: WireType) -> list[tuple[Colour, int]]:
 # ---------------------------------------------------------------------------
 
 def generators(d: Term) -> Iterator[Gen]:
-    """All generator leaves, including structural id/swap."""
+    """All generator leaves, including structural id/swap/perm."""
     if isinstance(d, Gen):
         yield d
     elif isinstance(d, Seq):

@@ -7,14 +7,19 @@ Grammar::
     atom := gen | '(' term ')' | 'tr[' type '](' term ')'
     type := 'T' | 'V' | 'H'
     gen  := 'id[' type ']' | 'swap[' type ',' type ']'
+          | 'perm[' type (',' type)* ';' slot (',' slot)* ']'
           | 'neg' | 'neg[VH]' | 'neg[HV]'
           | 'gate[' word (',' type)? ']'
           | 'pbs' | 'pbs[' sig ']'
           | 'split' | 'split[HV]' | 'merge' | 'merge[HV]'
     sig  := 'TV.VT' | 'VT.TV' | 'HT.HT' | 'TH.TH'
     word := letter ('.' letter)*
+    slot := digit+
 
-``;`` is trajectory order: the left operand is traversed first.  Bare
+``;`` is trajectory order: the left operand is traversed first.
+``perm[T,V,H;2,0,1]`` permutes wires: its i-th input, of the i-th
+colour, leaves at output slot i of the slot list (T at 2, V at 0, H
+at 1), so its output type is (V,H,T).  Bare
 ``split`` and ``merge`` are the V-over-H variants; ``pbs`` is the
 all-black four-port splitter.  Whitespace and ``#`` comments are
 ignored.  An empty source denotes the empty diagram.
@@ -98,6 +103,8 @@ def _gen(tok: _Token) -> Gen:
         if payload is None or len(parts) != 2:
             raise _fail(tok, "swap needs two colours, as in swap[T,V]")
         return Gen("swap", colours=(_colour(tok, parts[0]), _colour(tok, parts[1])))
+    if name == "perm":
+        return _perm(tok, payload)
     if name == "neg":
         if payload is None:
             return Gen("neg_t")
@@ -133,6 +140,22 @@ def _gen(tok: _Token) -> Gen:
             return Gen("merge_hv")
         raise _fail(tok, f"unknown merge variant merge[{payload}]")
     raise _fail(tok, f"unknown generator {tok.text!r}")
+
+
+def _perm(tok: _Token, payload: str | None) -> Gen:
+    colour_part, semi, slot_part = (payload or "").partition(";")
+    if not semi:
+        raise _fail(tok, "perm needs colours and slots, as in perm[T,V;1,0]")
+    colours = tuple(_colour(tok, c) for c in colour_part.split(","))
+    texts = slot_part.split(",")
+    if not all(x.isascii() and x.isdigit() for x in texts):
+        raise _fail(tok, f"perm slots must be numbers, got {slot_part!r}")
+    slots = tuple(int(x) for x in texts)
+    if len(slots) != len(colours):
+        raise _fail(tok, f"perm has {len(colours)} colours but {len(slots)} slots")
+    if sorted(slots) != list(range(len(slots))):
+        raise _fail(tok, f"perm slots {slot_part!r} are not a permutation")
+    return Gen("perm", colours=colours, slots=slots)
 
 
 class _Parser:
@@ -232,6 +255,9 @@ def _gen_text(g: Gen) -> str:
         return f"id[{g.colours[0].value}]"
     if g.kind == "swap":
         return f"swap[{g.colours[0].value},{g.colours[1].value}]"
+    if g.kind == "perm":
+        colours = ",".join(c.value for c in g.colours)
+        return f"perm[{colours};{','.join(map(str, g.slots))}]"
     if g.kind == "neg_t":
         return "neg"
     if g.kind == "neg_vh":

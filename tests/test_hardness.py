@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cpbs.cli import main
 from cpbs.errors import (
     BudgetExceeded,
     InvalidDecomposition,
@@ -20,8 +21,10 @@ from cpbs.hardness import (
     orient_eulerian,
     parse_graph,
 )
+from cpbs.normal_form import normalize
 from cpbs.semantics import semantics_table, tables_equal
 from cpbs.terms import Colour, count_neg, count_pbs, gate_t
+from cpbs.textform import parse, print_term
 
 V, H = Colour.V, Colour.H
 
@@ -251,3 +254,40 @@ class TestDiagramFromDecomposition:
             diagram_from_decomposition(
                 g, CycleDecomposition((((0, "A", "C"), (1, "C", "B"), (2, "B", "A")),))
             )
+
+
+class TestScale:
+    """Each router permutation is one perm, so wide reductions stay shallow and small."""
+
+    def test_48_edge_closed_walk(self):
+        # a closed walk of 48 steps through 24 vertices, each visited at least once
+        rng = random.Random(0)
+        walk = rng.sample(range(24), 24)
+        for i in range(24, 48):
+            banned = {walk[-1], walk[0]} if i == 47 else {walk[-1]}
+            walk.append(rng.choice([v for v in range(24) if v not in banned]))
+        g = parse_graph("".join(f"v{walk[i]} v{walk[(i + 1) % 48]}\n" for i in range(48)))
+        o = orient_eulerian(g)
+        d = build_C_w_sigma(o.w, o.sigma)
+        text = print_term(d)
+        assert len(text) < 64_000
+        d2 = parse(text)
+        t = semantics_table(d2)
+        assert tables_equal(t, semantics_table(d))
+        assert [(l.source, l.target, l.word) for l in normalize(d2).lines] == t.rows()
+        for p in range(48):
+            tail, head = o.arcs[p]
+            assert t.entries[(V, p)] == ((V, p), (tail,))
+            assert t.entries[(H, p)] == ((H, p), (head,))
+
+    def test_reduce_ecd_on_the_41_edge_cycle(self, tmp_path, capsys):
+        graph = tmp_path / "cycle.graph"
+        graph.write_text("".join(f"c{i} c{(i + 1) % 41}\n" for i in range(41)))
+        assert main(["reduce-ecd", str(graph)]) == 0
+        diagram = tmp_path / "cycle.cpbs"
+        diagram.write_text(capsys.readouterr().out)
+        ring = "(" + ",".join(["T"] * 41) + ")"
+        assert main(["check", str(diagram)]) == 0
+        assert capsys.readouterr().out == f"{ring} -> {ring}\n"
+        assert main(["table", str(diagram)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 82

@@ -17,7 +17,9 @@ from cpbs.terms import (
     merge_vh,
     neg_t,
     neg_vh,
+    par,
     pbs4,
+    perm,
     seq,
     split_vh,
     swap,
@@ -45,6 +47,13 @@ def test_swap_dissolves_into_crossing():
     n = to_netlist(swap(V, H))
     assert not n.nodes
     assert n.wires == {("bout", 0): ("bin", 1), ("bout", 1): ("bin", 0)}
+
+
+def test_perm_dissolves_like_its_swap_layers():
+    n = to_netlist(perm((T, V, H), (2, 0, 1)))
+    assert not n.nodes
+    drawn = seq(par(swap(T, V), ident(H)), par(ident(V), swap(T, H)))
+    assert netlists_isomorphic(n, to_netlist(drawn))
 
 
 def test_split_merge_wiring():

@@ -24,6 +24,8 @@ from cpbs.terms import (
     neg_vh,
     par,
     pbs4,
+    pbs_tv_vt,
+    perm,
     seq,
     split_vh,
     swap,
@@ -62,7 +64,7 @@ def test_gated_negated_black_wire_form():
     assert nf.G == par(gate_v("U"), gate_h("U"))
     assert nf.F == par(neg_vh(), neg_hv())
     assert nf.permutation == (1, 0)
-    assert nf.P == par(swap(H, V))
+    assert nf.P == perm((H, V), (1, 0))
 
 
 def test_synthesis_round_trips_through_semantics():
@@ -107,6 +109,10 @@ def test_both_routes_agree_on_random_diagrams():
     for seed in range(120):
         d = random_diagram(seed, max_generators=8)
         assert nf_by_rewriting(d) == normalize(d), seed
+    # a 3-wire perm, under a trace
+    d = Trace(T, seq(par(split_vh(), gate_t("U")), perm((V, H, T), (2, 0, 1)),
+                     par(ident(H), pbs_tv_vt())))
+    assert nf_by_rewriting(d) == normalize(d)
 
 
 def test_induction_route_is_guarded():

@@ -73,6 +73,16 @@ def one_query_both_colours():
     return seq(merge_hv(), gate_t("U"), split_hv())
 
 
+def _run_optimised(script: str) -> list[str]:
+    """The lines a script prints when run under ``python -O``."""
+    src = str(Path(cpbs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+
+
 class TestToPgtForm:
     def test_switch_keeps_its_gates_and_count(self):
         form = to_pgt_form(switch())
@@ -136,15 +146,44 @@ class TestToPgtForm:
                     print("raised:", e)
             """
         )
-        src = str(Path(cpbs.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        ).stdout
-        assert out.splitlines() == [
+        assert _run_optimised(script) == [
             "raised: PGT form changes the action table",
             "raised: optimised diagram is not equivalent to its input",
+        ]
+
+    def test_synthesis_postconditions_survive_optimised_python(self):
+        # a normal form without its gates, a stair form without its
+        # permutations and a reduction diagram without its routers must
+        # still raise when asserts are compiled away
+        script = textwrap.dedent(
+            """
+            import cpbs.hardness as hardness
+            import cpbs.normal_form as normal_form
+            import cpbs.stairs as stairs
+            from cpbs.gallery import quantum_switch
+            from cpbs.semantics import semantics_table
+            from cpbs.terms import Colour, identity_of, swap
+
+            normal_form.NormalForm.G = property(
+                lambda nf: identity_of(tuple(l.source[0] for l in nf.lines)))
+            stairs.permute = lambda colours, slots: []
+            hardness._router = lambda sigma: identity_of((Colour.T,) * len(sigma))
+            g = hardness.corpus()["triangle"]
+            for run in (lambda: normal_form.normalize(quantum_switch()),
+                        lambda: stairs.synthesize_stair_form(
+                            semantics_table(swap(Colour.T, Colour.T))),
+                        lambda: hardness.diagram_from_decomposition(
+                            g, hardness.max_ecd_bruteforce(g))):
+                try:
+                    run()
+                except AssertionError as e:
+                    print("raised:", e)
+            """
+        )
+        assert _run_optimised(script) == [
+            "raised: normal form changes the action table",
+            "raised: stair form changes the action table",
+            "raised: reduction diagram misses 2(|edges| - r) PBS",
         ]
 
 

@@ -25,6 +25,7 @@ from cpbs.terms import (
     neg_t,
     par,
     pbs4,
+    perm,
     seq,
     split_hv,
     split_vh,
@@ -57,6 +58,9 @@ def _gen_table(g: Gen) -> dict:
     elif g.kind == "swap":
         for pol, p in configurations(tin):
             out[(pol, p)] = ((pol, 1 - p), ())
+    elif g.kind == "perm":
+        for pol, p in configurations(tin):
+            out[(pol, p)] = ((pol, g.slots[p]), ())
     elif g.kind in ("gate_t", "gate_v", "gate_h"):
         for pol, p in configurations(tin):
             out[(pol, p)] = ((pol, p), tuple(g.word))
@@ -228,3 +232,5 @@ def test_netlist_interpreter_matches_structural_oracle():
         d = random_diagram(random.Random(1000 + seed))
         t = semantics_table(d)
         assert t.entries == _oracle(d), f"seed {seed}: {d!r}"
+    d = seq(perm((T, V, H), (2, 0, 1)), par(merge_vh(), gate_t("U")))
+    assert semantics_table(d).entries == _oracle(d)

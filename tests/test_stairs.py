@@ -198,7 +198,7 @@ class TestSynthesis:
     def test_scrambled_wide_staircases_are_recovered_exactly(self):
         import random
 
-        from cpbs.netlist import _route
+        from cpbs.terms import permute
 
         rng = random.Random(11)
         for kind in ("black_ladder", "red_ladder", "blue_ladder",
@@ -210,7 +210,7 @@ class TestSynthesis:
                 rng.shuffle(perm)
                 pre = par(*(neg_t() if c == T and rng.random() < 0.5 else ident(c)
                             for c in sc.in_type))
-                d = seq(*([pre, sc.as_term()] + _route(outs, perm)))
+                d = seq(*([pre, sc.as_term()] + permute(outs, perm)))
                 t = semantics_table(d)
                 sf = synthesize_stair_form(t)
                 assert sf.count_pbs() == pbs_lower_bound(t) == size

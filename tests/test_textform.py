@@ -29,6 +29,7 @@ GEN_TEXTS = [
     "id[H]",
     "swap[T,V]",
     "swap[H,H]",
+    "perm[T,V,H;2,0,1]",
     "neg",
     "neg[VH]",
     "neg[HV]",
@@ -99,6 +100,11 @@ class TestErrors:
             ("id", "id needs a colour"),
             ("id[Q]", "expected a colour"),
             ("swap[T]", "two colours"),
+            ("perm[T,V;0,0]", "not a permutation"),
+            ("perm[T,V;1]", "2 colours but 1 slots"),
+            ("perm[T,V;a,0]", "slots must be numbers"),
+            ("perm[T,V]", "perm needs colours and slots"),
+            ("perm[X;0]", "expected a colour"),
             ("gate", "gate needs a word"),
             ("gate[U,Q]", "bad gate colour"),
             ("gate[U..V]", "bad oracle letter"),
