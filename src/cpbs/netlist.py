@@ -19,15 +19,15 @@ from typing import NamedTuple
 from .terms import (
     Colour,
     Empty,
+    STRUCT_KINDS,
     Gen,
-    Par,
-    Seq,
     Term,
     Trace,
     WireType,
     Word,
     _FIXED_TYPES,
     _GATE_COLOUR,
+    fold,
     identity_of,
     ident,
     par,
@@ -115,63 +115,46 @@ class UnionFind:
 # ---------------------------------------------------------------------------
 
 def to_netlist(d: Term) -> Netlist:
-    """Elaborate a well-typed term into its netlist."""
+    """Elaborate a well-typed term into its netlist, numbering nodes in leaf order."""
     a, b = type_of(d)
     uf = UnionFind()
     nodes: dict[int, Node] = {}
     virtual_colour: dict = {}
-    counters = {"node": 0, "virt": 0}
 
     def fresh_virtual(c: Colour):
-        v = ("v", counters["virt"])
-        counters["virt"] += 1
+        v = ("v", len(virtual_colour))
         virtual_colour[v] = c
         uf.add(v)
         return v
 
-    def walk(t: Term) -> tuple[list, list]:
-        # returns (attachment points for incoming wires, for outgoing wires)
-        if isinstance(t, Gen):
-            if t.kind == "id":
-                v = fresh_virtual(t.colours[0])
-                return [v], [v]
-            if t.kind == "swap":
-                v0 = fresh_virtual(t.colours[0])
-                v1 = fresh_virtual(t.colours[1])
-                return [v0, v1], [v1, v0]
-            if t.kind == "perm":
-                vs = [fresh_virtual(c) for c in t.colours]
-                outs = list(vs)
-                for v, s in zip(vs, t.slots):
-                    outs[s] = v
-                return vs, outs
-            n = counters["node"]
-            counters["node"] += 1
-            nodes[n] = Node(t.kind, t.word)
-            ta, tb = t.signature()
-            ins = [("nin", n, k) for k in range(len(ta))]
-            outs = [("nout", n, k) for k in range(len(tb))]
-            for x in ins + outs:
-                uf.add(x)
-            return ins, outs
-        if isinstance(t, Empty):
-            return [], []
-        if isinstance(t, Seq):
-            i1, o1 = walk(t.first)
-            i2, o2 = walk(t.second)
-            for x, y in zip(o1, i2):
-                uf.union(x, y)
-            return i1, o2
-        if isinstance(t, Par):
-            i1, o1 = walk(t.top)
-            i2, o2 = walk(t.bottom)
-            return i1 + i2, o1 + o2
-        assert isinstance(t, Trace)
-        ins, outs = walk(t.body)
+    # each part's value: (attachment points for incoming wires, for outgoing wires)
+    def gen(t: Gen) -> tuple[list, list]:
+        if t.kind in STRUCT_KINDS:  # wiring only: one virtual point per wire
+            vs = [fresh_virtual(c) for c in t.colours]
+            outs = vs[::-1] if t.kind == "swap" else list(vs)
+            for v, s in zip(vs, t.slots):
+                outs[s] = v
+            return vs, outs
+        n = len(nodes)
+        nodes[n] = Node(t.kind, t.word)
+        ta, tb = t.signature()
+        ins = [("nin", n, k) for k in range(len(ta))]
+        outs = [("nout", n, k) for k in range(len(tb))]
+        for x in ins + outs:
+            uf.add(x)
+        return ins, outs
+
+    def then(f: tuple[list, list], s: tuple[list, list]) -> tuple[list, list]:
+        for x, y in zip(f[1], s[0]):
+            uf.union(x, y)
+        return f[0], s[1]
+
+    def feedback(c: Colour, body: tuple[list, list]) -> tuple[list, list]:
+        ins, outs = body
         uf.union(outs[-1], ins[-1])
         return ins[:-1], outs[:-1]
 
-    ins, outs = walk(d)
+    ins, outs = fold(d, gen, then, lambda t, b: (t[0] + b[0], t[1] + b[1]), feedback, ([], []))
     for i, x in enumerate(ins):
         uf.union(("bin", i), x)
     for j, x in enumerate(outs):

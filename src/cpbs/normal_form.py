@@ -12,18 +12,17 @@ from .errors import NotBijective, PreconditionViolated, TypeMismatch
 from .netlist import to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
+    STRUCT_KINDS,
     Colour,
     Configuration,
     Empty,
     Gen,
-    Par,
-    Seq,
     Term,
-    Trace,
     Word,
     WireType,
     configurations,
     count_generators,
+    fold,
     gate_h,
     gate_v,
     ident,
@@ -184,51 +183,47 @@ _GEN_LINES: dict[str, dict[Configuration, Configuration]] = {
 _LineMap = dict[Configuration, tuple[Configuration, Word]]
 
 
-def _lines_of(d: Term) -> _LineMap:
-    if isinstance(d, Empty):
-        return {}
-    if isinstance(d, Gen):
-        if d.kind == "id":
-            return {cfg: (cfg, ()) for cfg in configurations(d.signature()[0])}
-        if d.kind == "swap":
-            a = d.colours
-            out: _LineMap = {}
-            for c, p in configurations(a):
-                out[(c, p)] = ((c, 1 - p), ())
-            return out
-        if d.kind == "perm":
-            return {(c, p): ((c, d.slots[p]), ()) for c, p in configurations(d.colours)}
+# each part's value: (line map, input width, output width)
+
+def _gen_lines(d: Gen) -> tuple[_LineMap, int, int]:
+    a, b = d.signature()
+    if d.kind in STRUCT_KINDS:
+        slots = d.slots or ((1, 0) if d.kind == "swap" else (0,))
+        lines = {(c, p): ((c, slots[p]), ()) for c, p in configurations(a)}
+    else:
         word = d.word if d.kind.startswith("gate") else ()
-        return {src: (dst, word) for src, dst in _GEN_LINES[d.kind].items()}
-    if isinstance(d, Seq):
-        f, g = _lines_of(d.first), _lines_of(d.second)
-        return {src: (g[mid][0], w1 + g[mid][1]) for src, (mid, w1) in f.items()}
-    if isinstance(d, Par):
-        f, g = _lines_of(d.top), _lines_of(d.bottom)
-        a1, b1 = type_of(d.top)
-        out = dict(f)
-        for (c, p), ((c2, p2), w) in g.items():
-            out[(c, p + len(a1))] = ((c2, p2 + len(b1)), w)
-        return out
-    if isinstance(d, Trace):
-        body = _lines_of(d.body)
-        a, b = type_of(d)
-        fed_in, fed_out = len(a), len(b)
-        out = {}
-        for src in body:
-            if src[1] == fed_in:
-                continue  # the fed-back slot is not a boundary input
-            cfg, word = body[src]
-            for _ in range(len(body) + 1):
-                if cfg[1] != fed_out:
-                    break
-                cfg, w2 = body[(cfg[0], fed_in)]
-                word = word + w2
-            else:
-                raise AssertionError("feedback failed to exit")
-            out[src] = (cfg, word)
-        return out
-    raise TypeError(f"not a diagram term: {d!r}")
+        lines = {src: (dst, word) for src, dst in _GEN_LINES[d.kind].items()}
+    return lines, len(a), len(b)
+
+
+def _seq_lines(f: tuple[_LineMap, int, int], s: tuple[_LineMap, int, int]):
+    g = s[0]
+    return {src: (g[mid][0], w1 + g[mid][1]) for src, (mid, w1) in f[0].items()}, f[1], s[2]
+
+
+def _par_lines(t: tuple[_LineMap, int, int], b: tuple[_LineMap, int, int]):
+    lines = dict(t[0])
+    for (c, p), ((c2, p2), w) in b[0].items():
+        lines[(c, p + t[1])] = ((c2, p2 + t[2]), w)
+    return lines, t[1] + b[1], t[2] + b[2]
+
+
+def _trace_lines(c: Colour, v: tuple[_LineMap, int, int]):
+    body, fed_in, fed_out = v[0], v[1] - 1, v[2] - 1
+    out = {}
+    for src in body:
+        if src[1] == fed_in:
+            continue  # the fed-back slot is not a boundary input
+        cfg, word = body[src]
+        for _ in range(len(body) + 1):
+            if cfg[1] != fed_out:
+                break
+            cfg, w2 = body[(cfg[0], fed_in)]
+            word = word + w2
+        else:
+            raise AssertionError("feedback failed to exit")
+        out[src] = (cfg, word)
+    return out, fed_in, fed_out
 
 
 def nf_by_rewriting(d: Term) -> NormalForm:
@@ -243,6 +238,6 @@ def nf_by_rewriting(d: Term) -> NormalForm:
     if size > 8:
         raise PreconditionViolated(f"diagram has {size} generators, limit is 8")
     a, b = type_of(d)
-    lm = _lines_of(d)
+    lm = fold(d, _gen_lines, _seq_lines, _par_lines, _trace_lines, ({}, 0, 0))[0]
     lines = tuple(NfLine(cfg, *lm[cfg]) for cfg in configurations(a))
     return NormalForm(a, b, lines)

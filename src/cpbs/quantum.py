@@ -18,7 +18,6 @@ import numpy as np
 from .errors import MissingAssignment
 from .semantics import SemanticsTable
 from .terms import (
-    Colour,
     Empty,
     GATE_KINDS,
     Gen,
@@ -28,6 +27,7 @@ from .terms import (
     Trace,
     Word,
     configurations,
+    fold,
 )
 
 
@@ -118,18 +118,13 @@ def interpret(d: Term, g: GateAssignment | dict) -> Term:
     word replaced by its product matrix.
     """
     g = as_assignment(g)
-    if isinstance(d, Gen):
-        if d.kind in GATE_KINDS:
-            return Gen(d.kind, (MatrixLabel.of(gamma(d.word, g)),))
-        return d
-    if isinstance(d, Seq):
-        return Seq(interpret(d.first, g), interpret(d.second, g))
-    if isinstance(d, Par):
-        return Par(interpret(d.top, g), interpret(d.bottom, g))
-    if isinstance(d, Trace):
-        return Trace(d.colour, interpret(d.body, g))
-    assert isinstance(d, Empty)
-    return d
+
+    def gen(x: Gen) -> Gen:
+        if x.kind in GATE_KINDS:
+            return Gen(x.kind, (MatrixLabel.of(gamma(x.word, g)),))
+        return x
+
+    return fold(d, gen, Seq, Par, Trace, Empty())
 
 
 def label_product(word: tuple, dim: int) -> np.ndarray:

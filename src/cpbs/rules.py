@@ -23,6 +23,8 @@ from .terms import (
     Seq,
     Term,
     Trace,
+    fold,
+    generators,
     ident,
     merge_hv,
     merge_vh,
@@ -213,45 +215,29 @@ ALL_RULE_IDS = AXIOM_IDS + DERIVED_IDS + ANCILLARY_IDS + STRUCT_IDS
 def word_vars(t: Term) -> dict[str, WVar]:
     """All word variables of a term, by name."""
     out: dict[str, WVar] = {}
-
-    def walk(x: Term) -> None:
-        if isinstance(x, Gen):
-            for el in x.word:
-                if isinstance(el, WVar):
-                    prev = out.setdefault(el.name, el)
-                    assert prev == el, f"conflicting constraints on variable {el.name}"
-        elif isinstance(x, Seq):
-            walk(x.first)
-            walk(x.second)
-        elif isinstance(x, Par):
-            walk(x.top)
-            walk(x.bottom)
-        elif isinstance(x, Trace):
-            walk(x.body)
-
-    walk(t)
+    for g in generators(t):
+        for el in g.word:
+            if isinstance(el, WVar):
+                prev = out.setdefault(el.name, el)
+                assert prev == el, f"conflicting constraints on variable {el.name}"
     return out
 
 
 def substitute(t: Term, binding: dict[str, tuple[str, ...]]) -> Term:
     """Replace every word variable by its bound letter sequence."""
-    if isinstance(t, Gen):
-        if not t.word:
-            return t
+
+    def gen(g: Gen) -> Gen:
+        if not g.word:
+            return g
         word: list[str] = []
-        for el in t.word:
+        for el in g.word:
             if isinstance(el, WVar):
                 word.extend(binding[el.name])
             else:
                 word.append(el)
-        return Gen(t.kind, tuple(word), t.colours)
-    if isinstance(t, Seq):
-        return Seq(substitute(t.first, binding), substitute(t.second, binding))
-    if isinstance(t, Par):
-        return Par(substitute(t.top, binding), substitute(t.bottom, binding))
-    if isinstance(t, Trace):
-        return Trace(t.colour, substitute(t.body, binding))
-    return t
+        return Gen(g.kind, tuple(word), g.colours)
+
+    return fold(t, gen, Seq, Par, Trace, Empty())
 
 
 def _check_rule_types() -> None:

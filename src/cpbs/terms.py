@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 
 class Colour(str, Enum):
@@ -303,39 +304,74 @@ def identity_of(t: WireType) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# typing
+# walking and typing
 # ---------------------------------------------------------------------------
+
+def fold(d: Term, gen: Callable, seq: Callable, par: Callable, trace: Callable, empty: object):
+    """Evaluate d bottom-up: ``gen(g)`` at each generator, ``empty`` at each
+    Empty, ``seq(f, s)``, ``par(t, b)`` and ``trace(colour, v)`` (a function
+    other than seq and par) on the values of the parts.  Leaves are visited
+    left to right on an explicit stack, not bounded by the recursion limit.
+    """
+    vals: list = []
+    # terms to visit, and the functions to apply once their parts are evaluated
+    todo: list = [d]
+    pop, put = todo.pop, vals.append
+    while todo:
+        x = pop()
+        t = type(x)
+        if t is Gen:
+            put(gen(x))
+        elif x is trace:
+            vals[-1] = trace(pop(), vals[-1])
+        elif x is seq or x is par:
+            b = vals.pop()
+            vals[-1] = x(vals[-1], b)
+        elif t is Seq:
+            todo += (seq, x.second, x.first)
+        elif t is Par:
+            todo += (par, x.bottom, x.top)
+        elif t is Trace:
+            todo += (x.colour, trace, x.body)
+        elif t is Empty:
+            put(empty)
+        else:
+            raise TypeError(f"not a diagram term: {t.__name__}")
+    return vals[0]
+
+
+# A typed part is (input type, output type, kind of its first and of its
+# last generator); the kinds name a mismatch without printing the term.
+
+def _typed_seq(f: tuple, s: tuple) -> tuple:
+    if f[1] != s[0]:
+        raise TypeError(
+            f"sequential mismatch: {type_str(f[1])} then {type_str(s[0])}"
+            f" where {f[3] or 'nothing'} meets {s[2] or 'nothing'}"
+        )
+    return f[0], s[1], f[2] or s[2], s[3] or f[3]
+
+
+def _typed_trace(c: Colour, v: tuple) -> tuple:
+    a, b, first, last = v
+    if not a or not b or a[-1] != c or b[-1] != c:
+        raise TypeError(
+            f"trace over {c.value} needs that colour last on both sides of"
+            f" {type_str(a)} -> {type_str(b)}, from {first or 'nothing'} to {last or 'nothing'}"
+        )
+    return a[:-1], b[:-1], first, last
+
 
 def type_of(d: Term) -> tuple[WireType, WireType]:
     """Input and output wire type of a well-typed term.
 
-    Raises TypeError naming the offending sub-term when sequential
-    composition or a trace violates the type discipline.
+    Raises TypeError naming the generators where sequential composition
+    or a trace violates the type discipline.
     """
-    if isinstance(d, Gen):
-        return d.signature()
-    if isinstance(d, Empty):
-        return (), ()
-    if isinstance(d, Seq):
-        a1, b1 = type_of(d.first)
-        a2, b2 = type_of(d.second)
-        if b1 != a2:
-            raise TypeError(
-                f"sequential mismatch: {type_str(b1)} then {type_str(a2)} in {d!r}"
-            )
-        return a1, b2
-    if isinstance(d, Par):
-        a1, b1 = type_of(d.top)
-        a2, b2 = type_of(d.bottom)
-        return a1 + a2, b1 + b2
-    if isinstance(d, Trace):
-        a, b = type_of(d.body)
-        if not a or not b or a[-1] != d.colour or b[-1] != d.colour:
-            raise TypeError(
-                f"trace over {d.colour.value} needs that colour last on both sides of {d.body!r}"
-            )
-        return a[:-1], b[:-1]
-    raise TypeError(f"not a diagram term: {d!r}")
+    a, b, _, _ = fold(d, lambda g: (*g.signature(), g.kind, g.kind), _typed_seq,
+                      lambda t, b: (t[0] + b[0], t[1] + b[1], t[2] or b[2], b[3] or t[3]),
+                      _typed_trace, ((), (), "", ""))
+    return a, b
 
 
 def type_str(t: WireType) -> str:
@@ -361,17 +397,19 @@ def configurations(t: WireType) -> list[tuple[Colour, int]]:
 # ---------------------------------------------------------------------------
 
 def generators(d: Term) -> Iterator[Gen]:
-    """All generator leaves, including structural id/swap/perm."""
-    if isinstance(d, Gen):
-        yield d
-    elif isinstance(d, Seq):
-        yield from generators(d.first)
-        yield from generators(d.second)
-    elif isinstance(d, Par):
-        yield from generators(d.top)
-        yield from generators(d.bottom)
-    elif isinstance(d, Trace):
-        yield from generators(d.body)
+    """All generator leaves, left to right, including structural id/swap/perm."""
+    todo = [d]
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is Gen:
+            yield x
+        elif t is Seq:
+            todo += (x.second, x.first)
+        elif t is Par:
+            todo += (x.bottom, x.top)
+        elif t is Trace:
+            todo.append(x.body)
 
 
 def letter_counts(d: Term) -> Counter[str]:
@@ -404,16 +442,10 @@ def letters_of(d: Term) -> set[str]:
     return set(letter_counts(d))
 
 
+def _gen_size(g: Gen) -> int:
+    return max(1, len(g.word)) if g.kind in GATE_KINDS else 1
+
+
 def term_size(d: Term) -> int:
     """Size measure: a gate counts its word length, any other generator 1, a trace 1."""
-    if isinstance(d, Gen):
-        if d.kind in GATE_KINDS:
-            return max(1, len(d.word))
-        return 1
-    if isinstance(d, Seq):
-        return term_size(d.first) + term_size(d.second)
-    if isinstance(d, Par):
-        return term_size(d.top) + term_size(d.bottom)
-    if isinstance(d, Trace):
-        return term_size(d.body) + 1
-    return 0
+    return fold(d, _gen_size, add, add, lambda c, n: n + 1, 0)

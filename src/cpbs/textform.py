@@ -159,9 +159,12 @@ def _perm(tok: _Token, payload: str | None) -> Gen:
 
 
 class _Parser:
+    max_depth = 200  # bracket levels, three frames each: well inside the recursion limit
+
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -182,6 +185,9 @@ class _Parser:
     # each rule returns (term, in_type, out_type); types are threaded so
     # composition errors can point at the offending operator
     def term(self) -> tuple[Term, WireType, WireType]:
+        if self.depth > self.max_depth:
+            raise _fail(self.peek(), f"brackets nested deeper than {self.max_depth}")
+        self.depth += 1
         t, a, b = self.par()
         while self.peek() is not None and self.peek().text == ";":
             op = self.take()
@@ -192,6 +198,7 @@ class _Parser:
                     f"{type_str(b)} into {type_str(a2)}"
                 )
             t, b = Seq(t, t2), b2
+        self.depth -= 1
         return t, a, b
 
     def par(self) -> tuple[Term, WireType, WireType]:
@@ -281,34 +288,35 @@ def _gen_text(g: Gen) -> str:
     return "merge[HV]"
 
 
-def _seq_parts(d: Term) -> list[Term]:
-    if isinstance(d, Seq):
-        return _seq_parts(d.first) + _seq_parts(d.second)
-    return [] if isinstance(d, Empty) else [d]
-
-
-def _par_parts(d: Term) -> list[Term]:
-    if isinstance(d, Par):
-        return _par_parts(d.top) + _par_parts(d.bottom)
-    return [] if isinstance(d, Empty) else [d]
-
-
-def _print_seq(d: Term) -> str:
-    return " ; ".join(_print_par(p) for p in _seq_parts(d))
-
-
-def _print_par(d: Term) -> str:
-    return " | ".join(_print_atom(a) for a in _par_parts(d))
-
-
-def _print_atom(d: Term) -> str:
-    if isinstance(d, Gen):
-        return _gen_text(d)
-    if isinstance(d, Trace):
-        return f"tr[{d.colour.value}]({_print_seq(d.body)})"
-    return f"({_print_seq(d)})"
+def _parts(d: Term, op: type) -> list[Term]:
+    """Operands of the run of ``op`` compositions at d's root, left to right, less Empty."""
+    out: list[Term] = []
+    todo = [d]
+    while todo:
+        x = todo.pop()
+        if type(x) is op:
+            todo += (x.second, x.first) if op is Seq else (x.bottom, x.top)
+        elif type(x) is not Empty:
+            out.append(x)
+    return out
 
 
 def print_term(d: Term) -> str:
     """Render a term in the text syntax; parse(print_term(d)) redraws d."""
-    return _print_seq(d)
+    out: list[str] = []
+    # (text, str) to emit, or (term, op): a run of op, or a parallel operand if op is None
+    todo: list = [(d, Seq)]
+    while todo:
+        t, op = todo.pop()
+        if op is str:
+            out.append(t)
+        elif op is None and type(t) is Gen:
+            out.append(_gen_text(t))
+        elif op is None:
+            out.append(f"tr[{t.colour.value}](" if type(t) is Trace else "(")
+            todo += ((")", str), (t.body if type(t) is Trace else t, Seq))
+        else:
+            sep, inner = (" ; ", Par) if op is Seq else (" | ", None)
+            for k, p in enumerate(reversed(_parts(t, op))):
+                todo += ((sep, str), (p, inner)) if k else ((p, inner),)
+    return "".join(out)

@@ -147,6 +147,12 @@ class TestExitCodes:
         assert code == 1
         assert "cannot compose" in err
 
+    def test_deep_nesting_is_a_syntax_error(self, files, capsys):
+        code, out, err = run(capsys, "check", files("d.cpbs", "(" * 400 + "pbs" + ")" * 400))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 1 col 202: brackets nested deeper than 200\n"
+
     def test_non_eulerian_graph(self, files, capsys):
         code, _, err = run(capsys, "reduce-ecd", files("g.graph", "A B\n"))
         assert code == 1

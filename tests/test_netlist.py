@@ -88,6 +88,22 @@ def test_quantum_switch_netlist_shape():
     assert n.loops == ()
 
 
+def test_nodes_numbered_in_left_to_right_leaf_order():
+    d = Seq(
+        Par(gate_t("A"), Seq(swap(T, T), Par(gate_t("B"), ident(T)))),
+        Trace(T, par(Seq(gate_t("C"), neg_t()), ident(T), Seq(pbs4(), Par(gate_t("D"), ident(T))))),
+    )
+    n = to_netlist(d)
+    assert [n.nodes[i] for i in range(len(n.nodes))] == [
+        Node("gate_t", ("A",)),
+        Node("gate_t", ("B",)),
+        Node("gate_t", ("C",)),
+        Node("neg_t"),
+        Node("pbs4"),
+        Node("gate_t", ("D",)),
+    ]
+
+
 def test_bracketing_irrelevant():
     a, b, c = gate_v("U"), neg_vh(), gate_h("V")
     left = Seq(Seq(a, b), c)

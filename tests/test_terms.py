@@ -102,6 +102,17 @@ def test_type_errors_name_the_subterm():
         type_of(Trace(T, split_vh()))
 
 
+def test_type_errors_on_long_chains_stay_short():
+    chain = seq(*[gate_t("U")] * 5000)
+    with pytest.raises(TypeError) as e:
+        type_of(Seq(chain, merge_vh()))
+    assert "merge_vh" in str(e.value)
+    assert len(str(e.value)) < 200
+    with pytest.raises(TypeError) as e:
+        type_of(Trace(V, chain))
+    assert len(str(e.value)) < 200
+
+
 def test_gen_validation():
     with pytest.raises(ValueError):
         Gen("pbs4", word=("U",))
