@@ -146,6 +146,14 @@ def orient_eulerian(g: EulerianGraph, seed: int = 0) -> Orientation:
 # the reduction diagrams
 # ---------------------------------------------------------------------------
 
+def _inverse(perm: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation sending perm[p] back to p."""
+    out = [0] * len(perm)
+    for p, q in enumerate(perm):
+        out[q] = p
+    return tuple(out)
+
+
 def _router(sigma: tuple[int, ...]) -> Term:
     """Negation-free all-black stair router: ⇕ fixed, ⇔ sent p -> sigma(p).
 
@@ -168,10 +176,7 @@ def _router(sigma: tuple[int, ...]) -> Term:
             slot[p] = offset + len(cycle) - 1 - i
         ladders.append(Staircase("black_ladder", len(cycle) - 1).as_term())
         offset += len(cycle)
-    inverse = [0] * n
-    for p, s in enumerate(slot):
-        inverse[s] = p
-    return seq(*permute([T] * n, slot), par(*ladders), *permute([T] * n, inverse))
+    return seq(*permute([T] * n, slot), par(*ladders), *permute([T] * n, _inverse(slot)))
 
 
 def build_C_w_sigma(w: Word, sigma: tuple[int, ...]) -> Term:
@@ -186,11 +191,8 @@ def build_C_w_sigma(w: Word, sigma: tuple[int, ...]) -> Term:
         raise LengthMismatch(f"{sigma!r} is not a permutation")
     if not w:
         return Empty()
-    inverse = [0] * len(sigma)
-    for p, q in enumerate(sigma):
-        inverse[q] = p
     gates = par(*(gate_t((u,)) for u in w))
-    return seq(_router(sigma), gates, _router(tuple(inverse)))
+    return seq(_router(sigma), gates, _router(_inverse(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +319,8 @@ def diagram_from_decomposition(g: EulerianGraph, dec: CycleDecomposition) -> Ter
     flipped = [arcs[p] != ref.arcs[p] for p in range(g.n)]
     negs = par(*(neg_t() if f else ident(T) for f in flipped))
     sigma = tuple(succ[p] for p in range(g.n))
-    inverse = [0] * g.n
-    for p, q in enumerate(sigma):
-        inverse[q] = p
     gates = par(*(gate_t((arcs[p][0],)) for p in range(g.n)))
-    out = seq(negs, _router(sigma), gates, _router(tuple(inverse)), negs)
+    out = seq(negs, _router(sigma), gates, _router(_inverse(sigma)), negs)
     if count_pbs(out) != 2 * (g.n - dec.r):
         raise AssertionError("reduction diagram misses 2(|edges| - r) PBS")
     if not tables_equal(semantics_table(out), semantics_table(build_C_w_sigma(ref.w, ref.sigma))):

@@ -26,10 +26,10 @@ from .terms import (
     WireType,
     Word,
     _FIXED_TYPES,
-    _GATE_COLOUR,
     fold,
     identity_of,
     ident,
+    layer,
     par,
     seq,
     swap,
@@ -46,9 +46,7 @@ class Node(NamedTuple):
 
 
 def node_signature(node: Node) -> tuple[WireType, WireType]:
-    if node.kind in _FIXED_TYPES:
-        return _FIXED_TYPES[node.kind]
-    return (_GATE_COLOUR[node.kind],), (_GATE_COLOUR[node.kind],)
+    return _FIXED_TYPES[node.kind]
 
 
 @dataclass
@@ -131,8 +129,8 @@ def to_netlist(d: Term) -> Netlist:
     def gen(t: Gen) -> tuple[list, list]:
         if t.kind in STRUCT_KINDS:  # wiring only: one virtual point per wire
             vs = [fresh_virtual(c) for c in t.colours]
-            outs = vs[::-1] if t.kind == "swap" else list(vs)
-            for v, s in zip(vs, t.slots):
+            outs = list(vs)
+            for v, s in zip(vs, t.wire_slots):
                 outs[s] = v
             return vs, outs
         n = len(nodes)
@@ -376,9 +374,7 @@ def to_term(n: Netlist) -> Term:
             for s in range(len(arr) - 1):
                 if slots[arr[s]] > slots[arr[s + 1]]:
                     c0, c1 = colours[arr[s]], colours[arr[s + 1]]
-                    cells = [ident(colours[arr[t]]) for t in range(len(arr))]
-                    cells[s : s + 2] = [swap(c0, c1)]
-                    out.append(par(*cells))
+                    out.append(layer([colours[a] for a in arr], s, swap(c0, c1)))
                     arr[s], arr[s + 1] = arr[s + 1], arr[s]
                     changed = True
         return out
@@ -400,12 +396,9 @@ def to_term(n: Netlist) -> Term:
         layers.extend(swap_layers(colours_of(frontier), slots))
         frontier = new_front
 
-        sig_in, sig_out = node_signature(n.nodes[nid])
-        cells: list[Term] = [ident(c) for c in colours_of(frontier)[:dest]]
-        cells.append(Gen(n.nodes[nid].kind, n.nodes[nid].word))
-        cells.extend(ident(c) for c in colours_of(frontier)[dest + len(sig_in) :])
-        layers.append(par(*cells))
-        frontier = frontier[:dest] + n.node_sources(nid) + frontier[dest + len(sig_in) :]
+        node = n.nodes[nid]
+        layers.append(layer(colours_of(frontier), dest, Gen(node.kind, node.word)))
+        frontier = frontier[:dest] + n.node_sources(nid) + frontier[dest + len(srcs) :]
         remaining.discard(nid)
 
     if frontier:

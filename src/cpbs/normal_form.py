@@ -12,6 +12,7 @@ from .errors import NotBijective, PreconditionViolated, TypeMismatch
 from .netlist import to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
+    GATE_FOR,
     STRUCT_KINDS,
     Colour,
     Configuration,
@@ -23,8 +24,6 @@ from .terms import (
     configurations,
     count_generators,
     fold,
-    gate_h,
-    gate_v,
     ident,
     identity_of,
     merge_vh,
@@ -70,16 +69,9 @@ class NormalForm:
 
     @property
     def G(self) -> Term:
-        cells: list[Term] = []
-        for line in self.lines:
-            c = line.source[0]
-            if not line.word:
-                cells.append(ident(c))
-            elif c == Colour.V:
-                cells.append(gate_v(line.word))
-            else:
-                cells.append(gate_h(line.word))
-        return par(*cells) if cells else Empty()
+        """Gate layer: each line's word on a gate of its colour, a wire if it has none."""
+        return par(*(Gen(GATE_FOR[l.source[0]], l.word) if l.word else ident(l.source[0])
+                     for l in self.lines))
 
     @property
     def F(self) -> Term:
@@ -188,8 +180,7 @@ _LineMap = dict[Configuration, tuple[Configuration, Word]]
 def _gen_lines(d: Gen) -> tuple[_LineMap, int, int]:
     a, b = d.signature()
     if d.kind in STRUCT_KINDS:
-        slots = d.slots or ((1, 0) if d.kind == "swap" else (0,))
-        lines = {(c, p): ((c, slots[p]), ()) for c, p in configurations(a)}
+        lines = {(c, p): ((c, d.wire_slots[p]), ()) for c, p in configurations(a)}
     else:
         word = d.word if d.kind.startswith("gate") else ()
         lines = {src: (dst, word) for src, dst in _GEN_LINES[d.kind].items()}

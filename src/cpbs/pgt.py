@@ -21,6 +21,7 @@ from .semantics import SemanticsTable, chase, semantics_table, tables_equal
 from .stairs import StairForm, synthesize_stair_form
 from .terms import (
     _GATE_COLOUR,
+    GATE_FOR,
     GATE_KINDS,
     NEG_KINDS,
     PBS_KINDS,
@@ -39,7 +40,6 @@ from .terms import (
 )
 
 T, V, H = Colour.T, Colour.V, Colour.H
-_GATE_KIND = {c: kind for kind, c in _GATE_COLOUR.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def to_pgt_form(d: Term) -> PgtForm:
     n = to_netlist(d)
     cut = _cut_gates(n)
     core = synthesize_stair_form(_residual_table(n, cut))
-    gates = tuple(Gen(_GATE_KIND[c], n.nodes[nid].word) for nid, c in cut.items())
+    gates = tuple(Gen(GATE_FOR[c], n.nodes[nid].word) for nid, c in cut.items())
     form = PgtForm(gates, core)
     out = form.as_term()
     if not tables_equal(semantics_table(out), semantics_table(d)):

@@ -12,14 +12,15 @@ import random
 from typing import Sequence
 
 from .terms import (
+    GATE_FOR,
+    GATE_KINDS,
     Colour,
     Gen,
-    Par,
     Term,
     Trace,
     _FIXED_TYPES,
-    ident,
-    par,
+    identity_of,
+    layer,
     seq,
     swap,
     type_of,
@@ -27,26 +28,21 @@ from .terms import (
 
 T, V, H = Colour.T, Colour.V, Colour.H
 
-_GATE_FOR = {T: "gate_t", V: "gate_v", H: "gate_h"}
-
-
-def _layer(cur: tuple[Colour, ...], pos: int, g: Gen) -> Term:
-    k = len(g.signature()[0])
-    cells: list[Term] = [ident(c) for c in cur[:pos]]
-    cells.append(g)
-    cells.extend(ident(c) for c in cur[pos + k :])
-    return par(*cells)
+P_TRACE = 0.6  # chance of closing one more matching end wire with a trace
+P_SWAP = 0.15  # chance that a step swaps two adjacent wires
 
 
 def _moves(cur: tuple[Colour, ...], gate_free: bool) -> list[tuple[str, int]]:
     out: list[tuple[str, int]] = []
     for kind, (tin, _) in sorted(_FIXED_TYPES.items()):
+        if kind in GATE_KINDS:  # gates go last, below: that order fixes the draws
+            continue
         for pos in range(len(cur) - len(tin) + 1):
             if cur[pos : pos + len(tin)] == tin:
                 out.append((kind, pos))
     if not gate_free:
         for pos, c in enumerate(cur):
-            out.append((_GATE_FOR[c], pos))
+            out.append((GATE_FOR[c], pos))
     return out
 
 
@@ -61,8 +57,6 @@ def random_diagram(
     max_generators: int = 8,
     letters: Sequence[str] = ("U", "V", "W"),
     max_wires: int = 3,
-    p_trace: float = 0.6,
-    p_swap: float = 0.15,
     gate_free: bool = False,
     single_query: bool = False,
 ) -> Term:
@@ -88,16 +82,16 @@ def random_diagram(
     guard = 0
     while budget > 0 and guard < 200:
         guard += 1
-        if len(cur) >= 2 and rng.random() < p_swap:
+        if len(cur) >= 2 and rng.random() < P_SWAP:
             pos = rng.randrange(len(cur) - 1)
-            layers.append(_layer(cur, pos, swap(cur[pos], cur[pos + 1])))
+            layers.append(layer(cur, pos, swap(cur[pos], cur[pos + 1])))
             cur = cur[:pos] + (cur[pos + 1], cur[pos]) + cur[pos + 2 :]
             continue
         moves = _moves(cur, gate_free or (single_query and not pool))
         if not moves:
             break
         kind, pos = rng.choice(moves)
-        if kind.startswith("gate"):
+        if kind in GATE_KINDS:
             if single_query:
                 word: tuple[str, ...] = (pool.pop(rng.randrange(len(pool))),)
             else:
@@ -105,14 +99,14 @@ def random_diagram(
             g = Gen(kind, word)
         else:
             g = Gen(kind)
-        layers.append(_layer(cur, pos, g))
+        layers.append(layer(cur, pos, g))
         tin, tout = g.signature()
         cur = cur[:pos] + tout + cur[pos + len(tin) :]
         budget -= 1
 
-    d: Term = seq(*layers) if layers else par(*(ident(c) for c in in_type))
+    d: Term = seq(*layers) if layers else identity_of(in_type)
     a, b = type_of(d)
-    while a and b and a[-1] == b[-1] and rng.random() < p_trace:
+    while a and b and a[-1] == b[-1] and rng.random() < P_TRACE:
         d = Trace(a[-1], d)
         a, b = a[:-1], b[:-1]
     return d

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DerivationFailed, StaleInstance
-from .netlist import Netlist, Node, UnionFind, netlists_isomorphic, node_signature, to_netlist
+from .netlist import Netlist, Node, UnionFind, netlists_isomorphic, to_netlist
 from .rules import RULES, Rule, WVar, substitute, word_vars
 from .semantics import semantics_table, tables_equal
 from .terms import Colour, Term, Word, type_of

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HasGates, NotBijective
+from .netlist import UnionFind
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
     Colour,
@@ -22,6 +23,8 @@ from .terms import (
     WireType,
     count_pbs,
     ident,
+    identity_of,
+    layer,
     merge_hv,
     neg_hv,
     neg_t,
@@ -98,13 +101,11 @@ class Staircase:
         for pos, g in self._rungs():
             a, b = g.signature()
             assert tuple(types[pos : pos + len(a)]) == a
-            cells = [ident(c) for c in types]
-            cells[pos : pos + len(a)] = [g]
-            layers.append(par(*cells))
+            layers.append(layer(types, pos, g))
             types[pos : pos + len(a)] = list(b)
         assert tuple(types) == self.out_type
         if not layers:
-            return par(*(ident(c) for c in self.in_type))
+            return identity_of(self.in_type)
         return seq(*layers)
 
 
@@ -142,27 +143,16 @@ def partition_analysis(t: SemanticsTable) -> PartitionAnalysis:
     classified into the four realisable shapes.
     """
     _require_gate_free(t)
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind()
     for p in range(len(t.in_type)):
-        find(("in", p))
+        uf.add(("in", p))
     for q in range(len(t.out_type)):
-        find(("out", q))
+        uf.add(("out", q))
     for _, p, _, q in _edges_of(t):
-        parent[find(("in", p))] = find(("out", q))
-
-    groups: dict = {}
-    for node in list(parent):
-        groups.setdefault(find(node), []).append(node)
+        uf.union(("in", p), ("out", q))
 
     blocks = []
-    for members in groups.values():
+    for members in uf.classes().values():
         ins = tuple(sorted(p for side, p in members if side == "in"))
         outs = tuple(sorted(q for side, q in members if side == "out"))
         blocks.append((ins, outs))

@@ -91,7 +91,10 @@ NEG_KINDS = frozenset({"neg_t", "neg_vh", "neg_hv"})
 GATE_KINDS = frozenset({"gate_t", "gate_v", "gate_h"})
 STRUCT_KINDS = frozenset({"id", "swap", "perm"})
 
-# fixed signatures of the non-parametric generators
+_GATE_COLOUR = {"gate_t": T, "gate_v": V, "gate_h": H}
+GATE_FOR = {c: kind for kind, c in _GATE_COLOUR.items()}  # colour -> gate kind
+
+# fixed signatures: every kind but id, swap and perm
 _FIXED_TYPES: dict[str, tuple[WireType, WireType]] = {
     "pbs4": ((T, T), (T, T)),
     "pbs_tv_vt": ((T, V), (V, T)),
@@ -105,13 +108,17 @@ _FIXED_TYPES: dict[str, tuple[WireType, WireType]] = {
     "neg_t": ((T,), (T,)),
     "neg_vh": ((V,), (H,)),
     "neg_hv": ((H,), (V,)),
+    **{kind: ((c,), (c,)) for kind, c in _GATE_COLOUR.items()},
 }
 
-_GATE_COLOUR = {"gate_t": T, "gate_v": V, "gate_h": H}
+# output slot of each input wire of the structural kinds; perm carries its own
+_STRUCT_SLOTS = {"id": (0,), "swap": (1, 0)}
 
 
 class Term:
-    """Base class for diagram terms."""
+    """Base class for diagram terms.  Seq, Par and Trace compare, hash and
+    print with the methods below, on explicit stacks, so a term of any depth
+    stays within the recursion limit; Gen and Empty have their dataclass ones."""
 
     __slots__ = ()
 
@@ -120,6 +127,30 @@ class Term:
 
     def __or__(self, other: "Term") -> "Term":
         return Par(self, other)
+
+    def __eq__(self, other: object) -> bool:
+        return _preorder(self) == _preorder(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        todo: list = [self]  # terms, and the text between them
+        while todo:
+            x = todo.pop()
+            t = type(x)
+            if t is str:
+                out.append(x)
+            elif t is Seq:
+                todo += (")", x.second, ", second=", x.first, "Seq(first=")
+            elif t is Par:
+                todo += (")", x.bottom, ", bottom=", x.top, "Par(top=")
+            elif t is Trace:
+                todo += (")", x.body, f"Trace(colour={x.colour!r}, body=")
+            else:
+                out.append(repr(x))
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -133,44 +164,58 @@ class Gen(Term):
         if self.slots and self.kind != "perm":
             raise ValueError(f"{self.kind} takes no slots")
         if self.kind in _FIXED_TYPES:
-            if self.word or self.colours:
-                raise ValueError(f"{self.kind} takes no parameters")
-        elif self.kind in GATE_KINDS:
-            if self.colours:
-                raise ValueError(f"{self.kind} takes no colour parameters")
-        elif self.kind == "id":
-            if len(self.colours) != 1 or self.word:
-                raise ValueError("id takes exactly one colour")
-        elif self.kind == "swap":
-            if len(self.colours) != 2 or self.word:
-                raise ValueError("swap takes exactly two colours")
+            if self.colours or self.word and self.kind not in GATE_KINDS:
+                raise ValueError(f"{self.kind} takes no colours, and a word only if it is a gate")
+        elif self.kind in _STRUCT_SLOTS:
+            if len(self.colours) != len(_STRUCT_SLOTS[self.kind]) or self.word:
+                raise ValueError(f"{self.kind} takes one colour per wire and no word")
         elif self.kind == "perm":
-            if not self.colours or self.word:
-                raise ValueError("perm takes one or more colours and no word")
-            if sorted(self.slots) != list(range(len(self.colours))):
-                raise ValueError(f"perm slots {self.slots} do not permute {len(self.colours)} wires")
+            n = len(self.colours)
+            if self.word or not n or sorted(self.slots) != list(range(n)):
+                raise ValueError(f"perm takes no word and slots permuting its {n} wires")
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
+    @property
+    def wire_slots(self) -> tuple[int, ...]:
+        """id, swap and perm: the output slot of each input wire."""
+        return self.slots if self.kind == "perm" else _STRUCT_SLOTS[self.kind]
+
     def signature(self) -> tuple[WireType, WireType]:
-        if self.kind in _FIXED_TYPES:
-            return _FIXED_TYPES[self.kind]
-        if self.kind in GATE_KINDS:
-            c = _GATE_COLOUR[self.kind]
-            return (c,), (c,)
-        if self.kind == "id":
+        sig = _FIXED_TYPES.get(self.kind)
+        if sig is not None:
+            return sig
+        if len(self.colours) == 1:  # one wire can only stay put: spares the common id the loop
             return self.colours, self.colours
-        if self.kind == "perm":
-            out = [T] * len(self.colours)
-            for c, s in zip(self.colours, self.slots):
-                out[s] = c
-            return self.colours, tuple(out)
-        # swap
-        c1, c2 = self.colours
-        return (c1, c2), (c2, c1)
+        out = list(self.colours)
+        for c, s in zip(self.colours, self.wire_slots):
+            out[s] = c
+        return self.colours, tuple(out)
 
 
-@dataclass(frozen=True)
+def _preorder(d: Term) -> list:
+    """d's nodes in preorder, a composite as its type (and a trace's colour) and a
+    leaf as itself: each type has a fixed arity, so the list determines d."""
+    out: list = []
+    todo = [d]
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is Seq:
+            out.append(Seq)
+            todo += (x.second, x.first)
+        elif t is Par:
+            out.append(Par)
+            todo += (x.bottom, x.top)
+        elif t is Trace:
+            out += (Trace, x.colour)
+            todo.append(x.body)
+        else:
+            out.append(x)
+    return out
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Term):
     """first, then second (diagrammatic left-to-right order)."""
 
@@ -178,13 +223,13 @@ class Seq(Term):
     second: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Par(Term):
     top: Term
     bottom: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Trace(Term):
     """Feedback loop binding the last input and output position of body."""
 
@@ -301,6 +346,12 @@ def par(*ds: Term) -> Term:
 
 def identity_of(t: WireType) -> Term:
     return par(*(ident(c) for c in t)) if t else Empty()
+
+
+def layer(types: Sequence[Colour], pos: int, g: Gen) -> Term:
+    """g on the wires of ``types`` from pos on, with an id on every other wire."""
+    k = len(g.signature()[0])
+    return par(*(ident(c) for c in types[:pos]), g, *(ident(c) for c in types[pos + k :]))
 
 
 # ---------------------------------------------------------------------------

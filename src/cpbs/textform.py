@@ -31,7 +31,10 @@ import re
 from dataclasses import dataclass
 
 from .terms import (
+    _GATE_COLOUR,
     _LETTER_RE,
+    GATE_FOR,
+    GATE_KINDS,
     Colour,
     Empty,
     Gen,
@@ -43,13 +46,28 @@ from .terms import (
     type_str,
 )
 
-_SIG_KINDS = {
-    "TV.VT": "pbs_tv_vt",
-    "VT.TV": "pbs_vt_tv",
-    "HT.HT": "pbs_ht_ht",
-    "TH.TH": "pbs_th_th",
+# spelling of every generator kind without parameters
+_SPELLING = {
+    "pbs4": "pbs",
+    "pbs_tv_vt": "pbs[TV.VT]",
+    "pbs_vt_tv": "pbs[VT.TV]",
+    "pbs_ht_ht": "pbs[HT.HT]",
+    "pbs_th_th": "pbs[TH.TH]",
+    "split_vh": "split",
+    "split_hv": "split[HV]",
+    "merge_vh": "merge",
+    "merge_hv": "merge[HV]",
+    "neg_t": "neg",
+    "neg_vh": "neg[VH]",
+    "neg_hv": "neg[HV]",
 }
-_KIND_SIGS = {kind: sig for sig, kind in _SIG_KINDS.items()}
+_KIND_OF = {text: kind for kind, text in _SPELLING.items()}
+_UNKNOWN_VARIANT = {
+    "pbs": "unknown splitter signature",
+    "split": "unknown split variant",
+    "merge": "unknown merge variant",
+    "neg": "unknown negation",
+}
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+(\[[^\]\[]*\])?|[;|()]|\S")
 
@@ -92,6 +110,9 @@ def _word(tok: _Token, text: str) -> tuple[str, ...]:
 
 
 def _gen(tok: _Token) -> Gen:
+    kind = _KIND_OF.get(tok.text)
+    if kind is not None:
+        return Gen(kind)
     name, _, rest = tok.text.partition("[")
     payload = rest[:-1] if rest else None
     if name == "id":
@@ -105,40 +126,16 @@ def _gen(tok: _Token) -> Gen:
         return Gen("swap", colours=(_colour(tok, parts[0]), _colour(tok, parts[1])))
     if name == "perm":
         return _perm(tok, payload)
-    if name == "neg":
-        if payload is None:
-            return Gen("neg_t")
-        if payload in ("VH", "HV"):
-            return Gen("neg_vh" if payload == "VH" else "neg_hv")
-        raise _fail(tok, f"unknown negation neg[{payload}]")
     if name == "gate":
         if payload is None:
             raise _fail(tok, "gate needs a word, as in gate[U.V]")
         word_part, _, colour_part = payload.partition(",")
-        kind = "gate_t"
-        if colour_part:
-            kind = {"T": "gate_t", "V": "gate_v", "H": "gate_h"}.get(colour_part)
-            if kind is None:
-                raise _fail(tok, f"bad gate colour {colour_part!r}")
-        return Gen(kind, _word(tok, word_part))
-    if name == "pbs":
-        if payload is None:
-            return Gen("pbs4")
-        if payload in _SIG_KINDS:
-            return Gen(_SIG_KINDS[payload])
-        raise _fail(tok, f"unknown splitter signature pbs[{payload}]")
-    if name == "split":
-        if payload is None:
-            return Gen("split_vh")
-        if payload == "HV":
-            return Gen("split_hv")
-        raise _fail(tok, f"unknown split variant split[{payload}]")
-    if name == "merge":
-        if payload is None:
-            return Gen("merge_vh")
-        if payload == "HV":
-            return Gen("merge_hv")
-        raise _fail(tok, f"unknown merge variant merge[{payload}]")
+        if colour_part not in ("", "T", "V", "H"):
+            raise _fail(tok, f"bad gate colour {colour_part!r}")
+        c = Colour(colour_part) if colour_part else Colour.T
+        return Gen(GATE_FOR[c], _word(tok, word_part))
+    if name in _UNKNOWN_VARIANT:
+        raise _fail(tok, f"{_UNKNOWN_VARIANT[name]} {tok.text}")
     raise _fail(tok, f"unknown generator {tok.text!r}")
 
 
@@ -258,34 +255,16 @@ def parse(src: str) -> Term:
 # ---------------------------------------------------------------------------
 
 def _gen_text(g: Gen) -> str:
-    if g.kind == "id":
-        return f"id[{g.colours[0].value}]"
-    if g.kind == "swap":
-        return f"swap[{g.colours[0].value},{g.colours[1].value}]"
+    text = _SPELLING.get(g.kind)
+    if text is not None:
+        return text
+    if g.kind in GATE_KINDS:
+        c = _GATE_COLOUR[g.kind]
+        return f"gate[{'.'.join(g.word)}{'' if c is Colour.T else ',' + c.value}]"
+    colours = ",".join(g.colours)  # a Colour is the str of its letter
     if g.kind == "perm":
-        colours = ",".join(c.value for c in g.colours)
         return f"perm[{colours};{','.join(map(str, g.slots))}]"
-    if g.kind == "neg_t":
-        return "neg"
-    if g.kind == "neg_vh":
-        return "neg[VH]"
-    if g.kind == "neg_hv":
-        return "neg[HV]"
-    if g.kind.startswith("gate_"):
-        word = ".".join(g.word)
-        suffix = {"gate_t": "", "gate_v": ",V", "gate_h": ",H"}[g.kind]
-        return f"gate[{word}{suffix}]"
-    if g.kind == "pbs4":
-        return "pbs"
-    if g.kind in _KIND_SIGS:
-        return f"pbs[{_KIND_SIGS[g.kind]}]"
-    if g.kind == "split_vh":
-        return "split"
-    if g.kind == "split_hv":
-        return "split[HV]"
-    if g.kind == "merge_vh":
-        return "merge"
-    return "merge[HV]"
+    return f"{g.kind}[{colours}]"  # id, swap
 
 
 def _parts(d: Term, op: type) -> list[Term]:

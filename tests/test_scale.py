@@ -89,6 +89,16 @@ def test_typing_and_counts(shape):
     assert letters_of(d) == {"U"}
 
 
+def test_equality_hash_and_repr(shape):
+    d, n = _big(shape, gate_t("U")), SIZES[shape][0]
+    same = parse(print_term(d))
+    assert same is not d and same == d and hash(same) == hash(d)
+    other = (seq if shape == "chain" else par)(*[gate_t("U")] * (n - 1), gate_t("V"))
+    assert other != d and d != other
+    text = repr(d)
+    assert text == repr(same) and text.count("Gen(kind='gate_t', word=('U',)") == n
+
+
 def test_print_parse_round_trip(shape):
     d = _big(shape, gate_t("U"))
     text = print_term(d)
