@@ -9,6 +9,7 @@ the Eulerian-graph reduction.  Exit codes: 0 success, 1 domain errors
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -53,8 +54,9 @@ def _table_tsv(d: Term) -> str:
 
 
 def _bounds_text(d: Term) -> str:
-    lines = [query_profile(d).as_tsv()]
-    t = semantics_table(to_netlist(d))
+    n = to_netlist(d)
+    lines = [query_profile(n).as_tsv()]
+    t = semantics_table(n)
     try:
         pbs_bound = str(pbs_lower_bound(t))
     except HasGates:
@@ -122,7 +124,9 @@ def _dot_text(d: Term) -> str:
     return "\n".join(out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main` call."""
     ap = argparse.ArgumentParser(
         prog="cpbs", description="coloured PBS-diagram toolkit"
     )

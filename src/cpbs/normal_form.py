@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotBijective, PreconditionViolated, TypeMismatch
-from .netlist import to_netlist
+from .netlist import Netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
     GATE_FOR,
@@ -131,8 +131,9 @@ def synthesize_nf(t: SemanticsTable) -> NormalForm:
     return nf
 
 
-def normalize(d: Term) -> NormalForm:
-    return synthesize_nf(semantics_table(to_netlist(d)))
+def normalize(d: Netlist | Term) -> NormalForm:
+    """Normal form of a diagram, given as a term or as its netlist."""
+    return synthesize_nf(semantics_table(d))
 
 
 def equivalent(d1: Term, d2: Term) -> bool:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .netlist import Netlist, to_netlist, to_term
 from .normal_form import normalize
 from .rewrite import ProofStep, RuleInstance, apply, find_matches
-from .semantics import SemanticsTable, semantics_table
-from .terms import Term, Word, letter_counts, term_size
+from .semantics import SemanticsTable, _coerce, semantics_table
+from .terms import GATE_KINDS, Term, Word, letter_counts, term_size
 
 # ---------------------------------------------------------------------------
 # counting and the lower bound
@@ -48,14 +48,24 @@ def query_lower_bounds(t: SemanticsTable) -> dict[str, int]:
     return {u: math.ceil(k / 2) for u, k in sorted(occurrences.items())}
 
 
-def query_profile(d: Term) -> QueryProfile:
-    bounds = query_lower_bounds(semantics_table(to_netlist(d)))
-    queries = letter_counts(d)
+def query_profile(d: Netlist | Term) -> QueryProfile:
+    """Queries per letter against the table's bounds, for a term or its netlist.
+
+    The letters are counted on the netlist's gate nodes, which are the
+    term's gates one for one.
+    """
+    n = _coerce(d)
+    bounds = query_lower_bounds(semantics_table(n))
+    queries: Counter[str] = Counter()
+    for node in n.nodes.values():
+        if node.kind in GATE_KINDS:
+            queries.update(node.word)
     counts = {u: queries[u] for u in sorted(set(queries) | set(bounds))}
     return QueryProfile(counts, bounds)
 
 
-def is_query_optimal(d: Term) -> bool:
+def is_query_optimal(d: Netlist | Term) -> bool:
+    """Whether a term, or its netlist, meets every query lower bound."""
     p = query_profile(d)
     return all(p.counts.get(u, 0) == p.lower_bounds.get(u, 0) for u in p.counts)
 
@@ -90,10 +100,11 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     normal form; the rest are genuine single rule applications on the
     netlist.
     """
-    if is_query_optimal(d):
+    n = to_netlist(d)
+    if is_query_optimal(n):
         return d, []
     budget = 10 * max(1, term_size(d)) ** 2
-    nf = normalize(d)
+    nf = normalize(n)
     n = to_netlist(nf.as_term())
     head = find_matches(n, "STRUCT_YANKING")[0]
     steps = [ProofStep("STRUCT_YANKING", "L2R", head.site_hash)]
@@ -102,7 +113,8 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
         nonlocal n
         n = apply(n, inst)
         steps.append(ProofStep(rule_id, inst.direction, inst.site_hash))
-        assert len(steps) <= budget, "rule budget exceeded"
+        if len(steps) > budget:
+            raise AssertionError("rule budget exceeded")
 
     # cut every multi-letter gate into single letters
     progress = True
@@ -135,7 +147,8 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
         take(rule_id, matches[0])
 
     labels = [w for w, _ in _nonblack_gates(n)]
-    assert len(labels) == len(set(labels)) and all(len(w) == 1 for w in labels)
+    if len(labels) != len(set(labels)) or any(len(w) != 1 for w in labels):
+        raise AssertionError("fused gates must carry distinct single letters")
     out = to_term(n)
     bounds = query_lower_bounds(semantics_table(n))
     queries = letter_counts(out)

@@ -11,6 +11,7 @@ remaining real port become bare loops.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -30,21 +31,27 @@ Source = tuple
 # pattern compilation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _Pattern:
     in_type: tuple[Colour, ...]
     out_type: tuple[Colour, ...]
     nodes: dict[int, Node]
-    node_order: list[int]
-    internal: list[tuple[Sink, Source]]
-    bound_in: list[tuple[int, Sink]]      # (bin index, pattern node sink)
-    bound_out: list[tuple[int, Source]]   # (bout index, pattern node source)
-    passthrough: list[tuple[int, int, Colour]]  # (bin, bout, colour)
+    node_order: tuple[int, ...]
+    internal: tuple[tuple[Sink, Source], ...]
+    bound_in: tuple[tuple[int, Sink], ...]      # (bin index, pattern node sink)
+    bound_out: tuple[tuple[int, Source], ...]   # (bout index, pattern node source)
+    passthrough: tuple[tuple[int, int, Colour], ...]  # (bin, bout, colour)
     loops: tuple[Colour, ...]
 
 
-def _compile(side: Term) -> _Pattern:
-    n = to_netlist(side)
+@functools.cache
+def _compile(rule_id: str, direction: str) -> _Pattern:
+    """The pattern of the rule side matched in this direction.
+
+    Rule sides are constants, so each (rule, direction) is compiled once
+    per process; the shared pattern is read-only.
+    """
+    n = to_netlist(_sides(RULES[rule_id], direction)[0])
     internal: list[tuple[Sink, Source]] = []
     bound_in: list[tuple[int, Sink]] = []
     bound_out: list[tuple[int, Source]] = []
@@ -62,11 +69,11 @@ def _compile(side: Term) -> _Pattern:
         n.in_type,
         n.out_type,
         n.nodes,
-        sorted(n.nodes),
-        internal,
-        sorted(bound_in),
-        sorted(bound_out),
-        sorted(passthrough),
+        tuple(sorted(n.nodes)),
+        tuple(internal),
+        tuple(sorted(bound_in)),
+        tuple(sorted(bound_out)),
+        tuple(sorted(passthrough)),
         n.loops,
     )
 
@@ -169,7 +176,7 @@ def find_matches(n: Netlist, rule_id: str, direction: str = "L2R") -> list[RuleI
     pat_term, rep_term = _sides(rule, direction)
     if not set(word_vars(rep_term)) <= set(word_vars(pat_term)):
         return []  # the replacement would need words the match cannot supply
-    pat = _compile(pat_term)
+    pat = _compile(rule_id, direction)
     rev = n.sink_of()
 
     complete: list[tuple[dict[int, int], dict[str, Word]]] = []
@@ -281,9 +288,8 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     """
     if inst.trivial:
         return n.copy()
-    rule = RULES[inst.rule]
-    pat_term, rep_term = _sides(rule, inst.direction)
-    pat = _compile(pat_term)
+    _, rep_term = _sides(RULES[inst.rule], inst.direction)
+    pat = _compile(inst.rule, inst.direction)
 
     # --- revalidate the site
     for pn, hn in inst.node_map.items():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cpbs.cli import main
+from cpbs.cli import build_parser, main
 
 SWITCH = "tr[T](pbs ; (gate[U] | gate[V]) ; swap[T,T] ; pbs)\n"
 HALF_LEFT = "gate[U,H] | gate[U,V]\n"
@@ -192,3 +192,30 @@ class TestDeterminism:
         code, out, _ = run(capsys, "check", "-")
         assert code == 0
         assert out == "(T,T) -> (T,T)\n"
+
+
+class TestParserReuse:
+    """`main` shares one parser across calls; no call may see another's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_option_does_not_carry_into_the_next_call(self, files, capsys):
+        path = files("d.cpbs", SWITCH)
+        code, out, _ = run(capsys, "simulate", path, "--assign", files("m.tsv", ASSIGN))
+        assert code == 0
+        assert out.startswith("0,0\t1,0\t0,0\t0,0\n")
+        code, out, err = run(capsys, "simulate", path)
+        assert code == 1
+        assert out == ""
+        assert err == "error: no matrix assigned to oracle letter 'U'\n"
+
+    def test_usage_error_then_valid_call(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--assign"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "check", files("d.cpbs", SWITCH))
+        assert code == 0
+        assert out == "(T) -> (T)\n"
+        assert err == ""

@@ -1,0 +1,111 @@
+"""Each command elaborates each term once, and rule patterns compile once.
+
+`to_netlist` is wrapped with a counter at every place a `cpbs.*` module
+holds it, so a stage that rebuilds a netlist it already has shows up as
+an extra call.  Rule patterns are compiled once per (rule, direction)
+and shared, so they must never change under matching or application.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+import cpbs.netlist
+from cpbs import gallery
+from cpbs.cli import main
+from cpbs.netlist import to_netlist
+from cpbs.normal_form import normalize
+from cpbs.query_opt import is_query_optimal, optimize_queries, query_profile
+from cpbs.randgen import random_diagram
+from cpbs.rewrite import _CHAINS, _compile, apply, find_matches, replay_derivation
+from cpbs.rules import ALL_RULE_IDS
+from cpbs.textform import print_term
+
+PATTERN_RULES = [r for r in ALL_RULE_IDS if not r.startswith("STRUCT")]
+
+
+@pytest.fixture
+def netlist_calls(monkeypatch):
+    """Counts `to_netlist` calls made through any `cpbs.*` module."""
+    calls = [0]
+    original = cpbs.netlist.to_netlist
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cpbs" or name.startswith("cpbs."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+# (diagram, command) -> to_netlist calls once the rule patterns are compiled.
+# quantum_switch is query-optimal; three_query_circuit queries U twice
+# where once suffices.  opt-queries on three_query_circuit: the input, the
+# normal form's table check, the normal form's netlist, one replacement
+# side per rule application (4), and normalize(out) with its table check.
+# opt-pbs adds the PGT cut's netlist of that output, its staircase's table,
+# the stair form's table check and the PGT form's table check.
+ELABORATIONS = {
+    ("quantum_switch", "opt-queries"): 1,
+    ("quantum_switch", "opt-pbs"): 5,
+    ("quantum_switch", "bounds"): 1,
+    ("three_query_circuit", "opt-queries"): 9,
+    ("three_query_circuit", "opt-pbs"): 13,
+    ("three_query_circuit", "bounds"): 1,
+}
+
+
+@pytest.mark.parametrize("diagram,command", sorted(ELABORATIONS))
+def test_command_elaborations(diagram, command, netlist_calls, tmp_path, capsys):
+    path = tmp_path / "d.cpbs"
+    path.write_text(print_term(getattr(gallery, diagram)()))
+    assert main([command, str(path)]) == 0  # compiles the rule patterns it uses
+    first = capsys.readouterr().out
+    netlist_calls[0] = 0
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out == first
+    assert netlist_calls[0] == ELABORATIONS[(diagram, command)]
+
+
+def test_compile_runs_once_per_rule_and_direction(netlist_calls):
+    _compile.cache_clear()
+    n = to_netlist(gallery.three_query_circuit())
+    netlist_calls[0] = 0
+    applied = 0
+    for _ in range(3):
+        for rule_id, direction in (("DER18", "L2R"), ("DER18", "R2L"), ("AX2", "R2L")):
+            matches = find_matches(n, rule_id, direction)
+            if matches:
+                apply(n, matches[0])
+                applied += 1
+    assert applied >= 3
+    assert _compile.cache_info().misses == 3
+    # one netlist per compiled pattern, one per instantiated replacement side
+    assert netlist_calls[0] == 3 + applied
+
+
+def test_netlist_and_term_agree():
+    for seed in range(40):
+        d = random_diagram(seed)
+        n = to_netlist(d)
+        assert query_profile(n) == query_profile(d)
+        assert is_query_optimal(n) == is_query_optimal(d)
+        assert normalize(n) == normalize(d)
+
+
+def test_cached_patterns_are_never_mutated():
+    patterns = {(r, dr): _compile(r, dr) for r in PATTERN_RULES for dr in ("L2R", "R2L")}
+    before = {key: repr(p) for key, p in patterns.items()}
+    for target in _CHAINS:
+        replay_derivation(target)
+    for name in ("quantum_switch", "three_query_circuit", "worked_example", "repeated_switch"):
+        optimize_queries(getattr(gallery, name)())
+    for key, p in patterns.items():
+        assert _compile(*key) is p
+        assert repr(p) == before[key], key
