@@ -57,9 +57,6 @@ class Netlist:
     wires: dict[Sink, Source] = field(default_factory=dict)
     loops: tuple[Colour, ...] = ()
 
-    def copy(self) -> "Netlist":
-        return Netlist(self.in_type, self.out_type, dict(self.nodes), dict(self.wires), self.loops)
-
     def sink_of(self) -> dict[Source, Sink]:
         return {src: snk for snk, src in self.wires.items()}
 
@@ -178,37 +175,23 @@ def to_netlist(d: Term) -> Netlist:
 # isomorphism (boundary fixed pointwise)
 # ---------------------------------------------------------------------------
 
-def _refined_signatures(n: Netlist) -> dict[int, int]:
-    """Iteratively refined node invariants, boundary-anchored."""
-    rev = n.sink_of()
+def _far_ends(n: Netlist, rev: dict[Source, Sink], nid: int | None) -> list:
+    """The other end of the wire at each port of a node, or of the boundary for None."""
+    if nid is None:
+        return [rev[("bin", i)] for i in range(len(n.in_type))] + [
+            n.wires[("bout", j)] for j in range(len(n.out_type))
+        ]
+    return [n.wires[snk] for snk in n.node_sinks(nid)] + [rev[src] for src in n.node_sources(nid)]
 
-    def port_view(nid: int):
-        ins = []
-        for snk in n.node_sinks(nid):
-            src = n.wires[snk]
-            ins.append(src if src[0] == "bin" else ("n", src[1], src[2]))
-        outs = []
-        for src in n.node_sources(nid):
-            snk = rev[src]
-            outs.append(snk if snk[0] == "bout" else ("n", snk[1], snk[2]))
-        return ins, outs
 
-    sig = {nid: hash((node.kind, node.word)) for nid, node in n.nodes.items()}
-    views = {nid: port_view(nid) for nid in n.nodes}
-    for _ in range(len(n.nodes)):
-        nxt = {}
-        for nid in n.nodes:
-            ins, outs = views[nid]
-            key = (
-                sig[nid],
-                tuple(x if x[0] != "n" else ("n", sig[x[1]], x[2]) for x in ins),
-                tuple(x if x[0] != "n" else ("n", sig[x[1]], x[2]) for x in outs),
-            )
-            nxt[nid] = hash(key)
-        if nxt == sig:
-            break
-        sig = nxt
-    return sig
+def _pair_ends(ends1: list, ends2: list, todo: list[tuple[int, int]]) -> bool:
+    """Boundary ends must be equal; node ends must be the same port, their nodes paired."""
+    for e1, e2 in zip(ends1, ends2):
+        if e1[0] != e2[0] or e1[-1] != e2[-1]:
+            return False
+        if e1[0] in ("nin", "nout"):
+            todo.append((e1[1], e2[1]))
+    return True
 
 
 def netlists_isomorphic(n1: Netlist, n2: Netlist) -> bool:
@@ -216,94 +199,70 @@ def netlists_isomorphic(n1: Netlist, n2: Netlist) -> bool:
 
     Boundary ports are matched pointwise, so this is equality of the
     drawn diagram, not a graph isomorphism of unlabeled vertices.
+
+    Every port carries one wire, so the image of one node fixes the
+    image of everything wired to it: the match spreads along wires from
+    the boundary.  Each closed part is matched from its least unmatched
+    node against the first free node that fits; isomorphic closed parts
+    are interchangeable, so the first fit is as good as any.
     """
-    if n1.in_type != n2.in_type or n1.out_type != n2.out_type:
+    if (n1.in_type, n1.out_type, n1.loops) != (n2.in_type, n2.out_type, n2.loops):
         return False
-    if n1.loops != n2.loops:
+    if len(n1.nodes) != len(n2.nodes):
         return False
-    if sorted((x.kind, x.word) for x in n1.nodes.values()) != sorted(
-        (x.kind, x.word) for x in n2.nodes.values()
-    ):
-        return False
-    if len(n1.wires) != len(n2.wires):
-        return False
-    # wires with both ends on the boundary must agree exactly
-    for snk, src in n1.wires.items():
-        if snk[0] == "bout" and src[0] == "bin":
-            if n2.wires.get(snk) != src:
-                return False
-    for snk, src in n2.wires.items():
-        if snk[0] == "bout" and src[0] == "bin":
-            if n1.wires.get(snk) != src:
-                return False
-
-    sig1 = _refined_signatures(n1)
-    sig2 = _refined_signatures(n2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
     rev1, rev2 = n1.sink_of(), n2.sink_of()
-    order = sorted(n1.nodes, key=lambda nid: (sorted(sig1.values()).count(sig1[nid]), nid))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    fwd: dict[int, int] = {}
+    back: dict[int, int] = {}
 
-    def consistent(u: int, v: int) -> bool:
-        if n1.nodes[u] != n2.nodes[v] or sig1[u] != sig2[v]:
-            return False
-        for k, snk in enumerate(n1.node_sinks(u)):
-            src = n1.wires[snk]
-            other = n2.wires[("nin", v, k)]
-            if src[0] == "bin":
-                if other != src:
-                    return False
-            elif src[1] in mapping:
-                if other != ("nout", mapping[src[1]], src[2]):
-                    return False
-            elif other[0] != "nout" or other[1] in used:
-                return False
-        for k, src in enumerate(n1.node_sources(u)):
-            snk = rev1[src]
-            other = rev2[("nout", v, k)]
-            if snk[0] == "bout":
-                if other != snk:
-                    return False
-            elif snk[1] in mapping:
-                if other != ("nin", mapping[snk[1]], snk[2]):
-                    return False
-            elif other[0] != "nin" or other[1] in used:
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for v in sorted(n2.nodes):
-            if v in used or not consistent(u, v):
+    def spread(todo: list[tuple[int, int]]) -> bool:
+        """Pair the nodes in todo and all wired to them, or undo and fail."""
+        added: list[int] = []
+        while todo:
+            u, v = todo.pop()
+            if fwd.get(u, v) != v or back.get(v, u) != u:
+                break  # u or v is already paired elsewhere
+            if u in fwd:
                 continue
-            mapping[u] = v
-            used.add(v)
-            if search(i + 1):
-                return True
-            del mapping[u]
-            used.discard(v)
+            if n1.nodes[u] != n2.nodes[v]:
+                break
+            fwd[u], back[v] = v, u
+            added.append(u)
+            if not _pair_ends(_far_ends(n1, rev1, u), _far_ends(n2, rev2, v), todo):
+                break
+        else:
+            return True
+        for u in added:
+            del back[fwd.pop(u)]
         return False
 
-    return search(0)
+    todo: list[tuple[int, int]] = []
+    if not (_pair_ends(_far_ends(n1, rev1, None), _far_ends(n2, rev2, None), todo) and spread(todo)):
+        return False
+    free2 = sorted(n2.nodes)
+    for u in sorted(n1.nodes):
+        if u not in fwd and not any(v not in back and spread([(u, v)]) for v in free2):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # netlist -> term
 # ---------------------------------------------------------------------------
 
-def _find_back_wire(n: Netlist, wires: dict[Sink, Source]) -> tuple[Sink, Source] | None:
+def _back_wires(n: Netlist) -> list[tuple[Sink, Source]]:
+    """The wires that close a cycle, in the order one depth-first walk meets them.
+
+    Cutting a back wire leaves the walk's path unchanged, so cutting
+    all of them leaves an acyclic core.
+    """
     adj: dict[int, list[tuple[int, Sink, Source]]] = {nid: [] for nid in n.nodes}
-    for snk, src in wires.items():
+    for snk, src in n.wires.items():
         if src[0] == "nout" and snk[0] == "nin":
             adj[src[1]].append((snk[1], snk, src))
     for nid in adj:
         adj[nid].sort()
     state = {nid: 0 for nid in n.nodes}  # 0 new, 1 on stack, 2 done
+    back: list[tuple[Sink, Source]] = []
     for root in sorted(n.nodes):
         if state[root]:
             continue
@@ -318,32 +277,25 @@ def _find_back_wire(n: Netlist, wires: dict[Sink, Source]) -> tuple[Sink, Source
                 continue
             tgt, snk, src = step
             if state[tgt] == 1:
-                return snk, src
-            if state[tgt] == 0:
+                back.append((snk, src))
+            elif state[tgt] == 0:
                 state[tgt] = 1
                 stack.append((tgt, iter(adj[tgt])))
-    return None
+    return back
 
 
 def to_term(n: Netlist) -> Term:
     """Extract a term drawing the given netlist.
 
-    Feedback wires are cut one at a time and rebound as traces; the
-    remaining acyclic core is emitted as layers of single boxes routed
-    together by adjacent swaps.  Round-trips with to_netlist up to
-    isomorphism.
+    The feedback wires of one depth-first walk are cut and rebound as
+    traces; the remaining acyclic core is emitted as layers of single
+    boxes routed together by adjacent swaps.  Round-trips with
+    to_netlist up to isomorphism.
     """
+    cuts = _back_wires(n)
     wires = dict(n.wires)
-    cuts: list[tuple[Sink, Source]] = []
-    while True:
-        back = _find_back_wire(n, wires)
-        if back is None:
-            break
-        del wires[back[0]]
-        cuts.append(back)
-
     in_ext = list(n.in_type)
-    sink_of = {src: snk for snk, src in wires.items()}
+    sink_of = n.sink_of()
     for m, (snk, src) in enumerate(cuts):
         c = n.sink_colour(snk)
         in_ext.append(c)

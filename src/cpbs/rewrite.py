@@ -125,7 +125,6 @@ class RuleInstance:
     out_legs: list = field(default_factory=list)
     wire_choices: list = field(default_factory=list)  # per pass-through: ("wire", snk, src) | ("loop", i)
     loop_choices: list[int] = field(default_factory=list)
-    trivial: bool = False
 
     def site_key(self) -> str:
         return repr(
@@ -170,10 +169,7 @@ def _sides(rule: Rule, direction: str) -> tuple[Term, Term]:
 
 def find_matches(n: Netlist, rule_id: str, direction: str = "L2R") -> list[RuleInstance]:
     """All sites where the rule applies, in a deterministic order."""
-    rule = RULES[rule_id]
-    if rule_id.startswith("STRUCT"):
-        return [RuleInstance(rule_id, direction, trivial=True)]
-    pat_term, rep_term = _sides(rule, direction)
+    pat_term, rep_term = _sides(RULES[rule_id], direction)
     if not set(word_vars(rep_term)) <= set(word_vars(pat_term)):
         return []  # the replacement would need words the match cannot supply
     pat = _compile(rule_id, direction)
@@ -286,8 +282,6 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     Raises StaleInstance if the diagram changed since the match was
     found.
     """
-    if inst.trivial:
-        return n.copy()
     _, rep_term = _sides(RULES[inst.rule], inst.direction)
     pat = _compile(inst.rule, inst.direction)
 
@@ -416,8 +410,6 @@ def check_soundness(rule_id: str, samples: int = 5, seed: int = 0) -> bool:
     where allowed) plus `samples` random instantiations.
     """
     rule = RULES[rule_id]
-    if rule_id.startswith("STRUCT"):
-        return True
     vs = {**word_vars(rule.lhs), **word_vars(rule.rhs)}
     names = sorted(vs)
 

@@ -372,8 +372,9 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
     for (ins, outs), case in zip(pa.blocks, pa.case_of_block):
         sc = _staircase_for(t, ins, outs, case)
         best = None
+        stair_walks = _stair_walks(sc)
         for bw in _block_walks(t, ins, outs, case):
-            for sw in _stair_walks(sc):
+            for sw in stair_walks:
                 assert len(bw) == len(sw), "walk shapes differ"
                 fit = _align(bw, sw)
                 if best is None or fit[0] < best[0]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 from cpbs.netlist import Netlist, Node, netlists_isomorphic, to_netlist, to_term
@@ -132,6 +133,88 @@ def test_boundary_is_fixed_pointwise():
     d2 = seq(swap(V, V), Par(gate_v("U"), gate_v("V")), swap(V, V))
     # d2 routes input 0 through the V-labelled gate instead
     assert not netlists_isomorphic(to_netlist(d1), to_netlist(d2))
+
+
+def _renamed(n: Netlist, f: dict[int, int]) -> Netlist:
+    port = lambda p: p if p[0] in ("bin", "bout") else (p[0], f[p[1]], p[2])
+    return Netlist(
+        n.in_type,
+        n.out_type,
+        {f[u]: node for u, node in n.nodes.items()},
+        {port(a): port(b) for a, b in n.wires.items()},
+        n.loops,
+    )
+
+
+def _isomorphic_by_brute_force(n1: Netlist, n2: Netlist) -> bool:
+    """Try every node bijection that keeps labels; boundary ports map to themselves."""
+    if (n1.in_type, n1.out_type, n1.loops) != (n2.in_type, n2.out_type, n2.loops):
+        return False
+    ids1, ids2 = sorted(n1.nodes), sorted(n2.nodes)
+    if len(ids1) != len(ids2):
+        return False
+    for image in itertools.permutations(ids2):
+        f = dict(zip(ids1, image))
+        if all(n1.nodes[u] == n2.nodes[v] for u, v in f.items()) and _renamed(n1, f).wires == n2.wires:
+            return True
+    return False
+
+
+def _relabelled(n: Netlist, rng: random.Random) -> Netlist:
+    return _renamed(n, dict(zip(n.nodes, rng.sample(range(100), len(n.nodes)))))
+
+
+def _sources_swapped(n: Netlist, rng: random.Random) -> Netlist | None:
+    sinks = sorted(n.wires)
+    rng.shuffle(sinks)
+    for a, b in itertools.combinations(sinks, 2):
+        if n.sink_colour(a) == n.sink_colour(b):
+            wires = dict(n.wires)
+            wires[a], wires[b] = wires[b], wires[a]
+            return Netlist(n.in_type, n.out_type, dict(n.nodes), wires, n.loops)
+    return None
+
+
+def _reworded(n: Netlist, rng: random.Random) -> Netlist | None:
+    gates = sorted(u for u, node in n.nodes.items() if node.word)
+    if not gates:
+        return None
+    u = rng.choice(gates)
+    nodes = dict(n.nodes)
+    nodes[u] = Node(nodes[u].kind, tuple(rng.choice("UVW") for _ in range(rng.randint(0, 2))))
+    return Netlist(n.in_type, n.out_type, nodes, dict(n.wires), n.loops)
+
+
+def test_isomorphism_agrees_with_brute_force():
+    verdicts = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        d = random_diagram(rng, max_generators=6, max_wires=rng.randint(1, 4))
+        n = to_netlist(d)
+        assert len(n.nodes) <= 6
+        others = [
+            _relabelled(n, rng),
+            _sources_swapped(n, rng),
+            _reworded(n, rng),
+            to_netlist(random_diagram(rng, max_generators=6, max_wires=rng.randint(1, 4))),
+        ]
+        for m in others:
+            if m is None or len(m.nodes) > 6:
+                continue
+            for a, b in [(n, m), (_relabelled(m, rng), n)]:
+                expected = _isomorphic_by_brute_force(a, b)
+                assert netlists_isomorphic(a, b) == expected, f"seed {seed}"
+                verdicts.append(expected)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_closed_parts_match_in_any_order():
+    a, b = Trace(V, gate_v("U")), Trace(T, seq(gate_t("U"), neg_t(), gate_t("W")))
+    host = Seq(split_vh(), merge_vh())
+    n = to_netlist(par(a, host, b, a))
+    assert netlists_isomorphic(n, to_netlist(par(b, a, a, host)))
+    assert not netlists_isomorphic(n, to_netlist(par(b, a, Trace(V, gate_v("W")), host)))
+    assert not netlists_isomorphic(n, to_netlist(par(a, host, b, b)))
 
 
 def test_roundtrip_simple():

@@ -177,9 +177,14 @@ def test_stale_instance_is_rejected():
 
 def test_structural_rules_match_trivially():
     n = to_netlist(split_vh())
-    for rid in ["STRUCT_YANKING", "STRUCT_DINATURALITY", "STRUCT_SWAP_NATURALITY"]:
+    for rid, site in [
+        ("STRUCT_YANKING", "ac5ba4b27fc0"),
+        ("STRUCT_DINATURALITY", "34b9668e641c"),
+        ("STRUCT_SWAP_NATURALITY", "9078b9ba2e23"),
+    ]:
         (m,) = find_matches(n, rid)
-        assert m.trivial
+        assert m.node_map == {} and m.in_legs == [] and m.out_legs == []
+        assert m.site_hash == site
         out = apply(n, m)
         assert out is not n
         assert out.wires == n.wires and out.nodes == n.nodes

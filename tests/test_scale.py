@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cpbs.cli import main
 from cpbs.errors import CpbsError
-from cpbs.netlist import to_netlist
+from cpbs.netlist import netlists_isomorphic, to_netlist
 from cpbs.normal_form import normalize
 from cpbs.quantum import MatrixLabel, interpret
 from cpbs.randgen import random_diagram
@@ -115,6 +115,14 @@ def test_netlist_table_and_normal_form(shape):
     word = ("U",) * (n // w)
     assert all(t.entries[(c, p)] == ((c, p), word) for c in (V, H) for p in range(w))
     assert [(l.source, l.target, l.word) for l in normalize(d).lines] == t.rows()
+
+
+def test_netlists_isomorphic(shape):
+    d, n = _big(shape, gate_t("U")), SIZES[shape][0]
+    net = to_netlist(d)
+    assert netlists_isomorphic(net, to_netlist(parse(print_term(d))))
+    other = (seq if shape == "chain" else par)(*[gate_t("U")] * (n - 1), gate_t("V"))
+    assert not netlists_isomorphic(net, to_netlist(other))
 
 
 def test_substitute_and_interpret(shape):

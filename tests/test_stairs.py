@@ -2,6 +2,7 @@
 
 import pytest
 
+from cpbs import stairs
 from cpbs.errors import HasGates, NotBijective
 from cpbs.randgen import random_diagram
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
@@ -152,6 +153,15 @@ class TestSynthesis:
         assert sf.cases == (Staircase("red_merge", 1),)
         assert sf.sigma1 == (1, 0)
         assert not any(sf.pre_negs) and not any(sf.post_negs)
+
+    def test_each_staircase_is_walked_once(self, monkeypatch):
+        # both blocks have two coloured ends, so two block walks each
+        walked = []
+        original = stairs._stair_walks
+        monkeypatch.setattr(stairs, "_stair_walks", lambda sc: walked.append(sc) or original(sc))
+        sf = synthesize_stair_form(semantics_table(par(merge_vh(), split_vh())))
+        assert tuple(walked) == sf.cases
+        assert sf.cases == (Staircase("red_merge", 1), Staircase("red_merge_inverse", 1))
 
     def test_negation_survives_on_its_own_wire(self):
         sf = synthesize_stair_form(semantics_table(neg_t()))
