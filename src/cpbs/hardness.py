@@ -92,6 +92,16 @@ class Orientation:
     sigma: tuple[int, ...]  # head(e_p) = tail(e_sigma(p))
 
 
+def _incidence(g: EulerianGraph) -> dict[str, list[tuple[int, str]]]:
+    """(edge index, other end) of each edge at each vertex, in fresh lists."""
+    incidence: dict[str, list[tuple[int, str]]] = {}
+    for i, (u, v) in enumerate(g.edges):
+        incidence.setdefault(u, []).append((i, v))
+        if u != v:
+            incidence.setdefault(v, []).append((i, u))
+    return incidence
+
+
 def orient_eulerian(g: EulerianGraph, seed: int = 0) -> Orientation:
     """Direct the edges along a seeded Eulerian circuit.
 
@@ -101,11 +111,7 @@ def orient_eulerian(g: EulerianGraph, seed: int = 0) -> Orientation:
     if not g.edges:
         return Orientation((), (), ())
     rng = random.Random(seed)
-    incidence: dict[str, list[tuple[int, str]]] = {}
-    for i, (u, v) in enumerate(g.edges):
-        incidence.setdefault(u, []).append((i, v))
-        if u != v:
-            incidence.setdefault(v, []).append((i, u))
+    incidence = _incidence(g)
     for lst in incidence.values():
         rng.shuffle(lst)
 
@@ -232,11 +238,7 @@ def max_ecd_bruteforce(g: EulerianGraph) -> CycleDecomposition:
     """
     if g.n > 10:
         raise BudgetExceeded(f"{g.n} edges exceed the 10-edge brute-force budget")
-    incidence: dict[str, list[tuple[int, str]]] = {}
-    for i, (u, v) in enumerate(g.edges):
-        incidence.setdefault(u, []).append((i, v))
-        if u != v:
-            incidence.setdefault(v, []).append((i, u))
+    incidence = _incidence(g)
 
     def cycles_from(e0: int, used: frozenset[int]) -> list[tuple[Arc, ...]]:
         u0, v0 = g.edges[e0]

@@ -42,6 +42,7 @@ class _Pattern:
     bound_out: tuple[tuple[int, Source], ...]   # (bout index, pattern node source)
     passthrough: tuple[tuple[int, int, Colour], ...]  # (bin, bout, colour)
     loops: tuple[Colour, ...]
+    invents_words: bool  # the replacement needs words the match cannot supply
 
 
 @functools.cache
@@ -51,7 +52,8 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
     Rule sides are constants, so each (rule, direction) is compiled once
     per process; the shared pattern is read-only.
     """
-    n = to_netlist(_sides(RULES[rule_id], direction)[0])
+    pat_term, rep_term = _sides(RULES[rule_id], direction)
+    n = to_netlist(pat_term)
     internal: list[tuple[Sink, Source]] = []
     bound_in: list[tuple[int, Sink]] = []
     bound_out: list[tuple[int, Source]] = []
@@ -75,6 +77,7 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
         tuple(sorted(bound_out)),
         tuple(sorted(passthrough)),
         n.loops,
+        not set(word_vars(rep_term)) <= set(word_vars(pat_term)),
     )
 
 
@@ -169,10 +172,9 @@ def _sides(rule: Rule, direction: str) -> tuple[Term, Term]:
 
 def find_matches(n: Netlist, rule_id: str, direction: str = "L2R") -> list[RuleInstance]:
     """All sites where the rule applies, in a deterministic order."""
-    pat_term, rep_term = _sides(RULES[rule_id], direction)
-    if not set(word_vars(rep_term)) <= set(word_vars(pat_term)):
-        return []  # the replacement would need words the match cannot supply
     pat = _compile(rule_id, direction)
+    if pat.invents_words:
+        return []
     rev = n.sink_of()
 
     complete: list[tuple[dict[int, int], dict[str, Word]]] = []

@@ -10,6 +10,7 @@ that shape meets the proven lower bound (|out| - blocks) + merges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import HasGates, NotBijective
@@ -191,7 +192,7 @@ def pbs_lower_bound(t: SemanticsTable) -> int:
 # alternating walks and alignment
 # ---------------------------------------------------------------------------
 
-def _walk(edges: list[Edge], start: Edge, forward: bool) -> list[tuple[Edge, bool]]:
+def _walk(edges: list[Edge], start: Edge, forward: bool) -> tuple[tuple[Edge, bool], ...]:
     """Trail through the block, alternating input and output endpoints.
 
     Every input or output position has at most two incident
@@ -209,24 +210,26 @@ def _walk(edges: list[Edge], start: Edge, forward: bool) -> list[tuple[Edge, boo
         pool = by_out[edge[3]] if fwd else by_in[edge[1]]
         others = [e for e in pool if e != edge]
         if not others:
-            return steps
+            return tuple(steps)
         (edge,), fwd = others, not fwd
         if (edge, fwd) == steps[0]:
-            return steps
+            return tuple(steps)
         steps.append((edge, fwd))
 
 
-def _stair_walks(sc: Staircase) -> list[list[tuple[Edge, bool]]]:
+@functools.cache
+def _stair_walks(sc: Staircase) -> tuple[tuple[tuple[Edge, bool], ...], ...]:
     """Candidate walks through the staircase's own table.
 
     Paths have a single admissible start; the all-black cycle may begin
     at any edge, which is what lets the slot assignment soak up wire
-    rotations without extra negations.
+    rotations without extra negations.  A staircase is a constant, so
+    its walks are worked out once per process and shared read-only.
     """
     edges = _edges_of(semantics_table(sc.as_term()))
     s = sc.size
     if sc.kind == "black_ladder":
-        return [_walk(edges, e, True) for e in edges]
+        return tuple(_walk(edges, e, True) for e in edges)
     if sc.kind == "red_ladder":
         start = next(e for e in edges if e[:2] == (V, s))
     elif sc.kind == "blue_ladder":
@@ -235,11 +238,11 @@ def _stair_walks(sc: Staircase) -> list[list[tuple[Edge, bool]]]:
         start = next(e for e in edges if e[:2] == (H, 0))
     else:
         start = next(e for e in edges if e[2:] == (H, 0))
-        return [_walk(edges, start, False)]
-    return [_walk(edges, start, True)]
+        return (_walk(edges, start, False),)
+    return (_walk(edges, start, True),)
 
 
-def _block_walks(t: SemanticsTable, ins, outs, case: int) -> list[list[tuple[Edge, bool]]]:
+def _block_walks(t: SemanticsTable, ins, outs, case: int) -> list[tuple[tuple[Edge, bool], ...]]:
     """Candidate walks through one block, starting from each admissible end."""
     edges = [e for e in _edges_of(t) if e[1] in ins]
     if case == 1:

@@ -28,7 +28,7 @@ ignored.  An empty source denotes the empty diagram.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import (
     _GATE_COLOUR,
@@ -42,7 +42,6 @@ from .terms import (
     Seq,
     Term,
     Trace,
-    WireType,
     type_str,
 )
 
@@ -74,8 +73,7 @@ _UNKNOWN_VARIANT = {
 _TOKEN_RE = re.compile(r"[A-Za-z]+(\[[^\]\[]*\])?|[;|()]|\S")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -158,99 +156,89 @@ def _perm(tok: _Token, payload: str | None) -> Gen:
     return Gen("perm", colours=colours, slots=slots)
 
 
-class _Parser:
-    max_depth = 200  # bracket levels, three frames each: well inside the recursion limit
-
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise _fail(None, "unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
-            raise _fail(tok, f"expected {text!r}" + (f", got {tok.text!r}" if tok else ""))
-        return self.take()
-
-    # each rule returns (term, in_type, out_type); types are threaded so
-    # composition errors can point at the offending operator
-    def term(self) -> tuple[Term, WireType, WireType]:
-        if self.depth > self.max_depth:
-            raise _fail(self.peek(), f"brackets nested deeper than {self.max_depth}")
-        self.depth += 1
-        t, a, b = self.par()
-        while self.peek() is not None and self.peek().text == ";":
-            op = self.take()
-            t2, a2, b2 = self.par()
-            if b != a2:
-                raise TypeError(
-                    f"line {op.line} col {op.col}: cannot compose "
-                    f"{type_str(b)} into {type_str(a2)}"
-                )
-            t, b = Seq(t, t2), b2
-        self.depth -= 1
-        return t, a, b
-
-    def par(self) -> tuple[Term, WireType, WireType]:
-        t, a, b = self.atom()
-        while self.peek() is not None and self.peek().text == "|":
-            self.take()
-            t2, a2, b2 = self.atom()
-            t, a, b = Par(t, t2), a + a2, b + b2
-        return t, a, b
-
-    def atom(self) -> tuple[Term, WireType, WireType]:
-        tok = self.peek()
-        if tok is None:
-            raise _fail(None, "expected a diagram")
-        if tok.text == "(":
-            self.take()
-            t, a, b = self.term()
-            self.expect(")")
-            return t, a, b
-        if tok.text.startswith("tr[") or tok.text == "tr":
-            self.take()
-            name, _, rest = tok.text.partition("[")
-            if not rest:
-                raise _fail(tok, "tr needs a colour, as in tr[T](...)")
-            c = _colour(tok, rest[:-1])
-            self.expect("(")
-            t, a, b = self.term()
-            self.expect(")")
-            if not a or not b or a[-1] != c or b[-1] != c:
-                raise TypeError(
-                    f"line {tok.line} col {tok.col}: tr[{c.value}] needs "
-                    f"{c.value} last on both sides, got {type_str(a)} -> {type_str(b)}"
-                )
-            return Trace(c, t), a[:-1], b[:-1]
-        if tok.text[0].isalpha():
-            g = _gen(self.take())
-            a, b = g.signature()
-            return g, a, b
-        raise _fail(tok, f"unexpected {tok.text!r}")
+def _expected(text: str, tok: _Token | None) -> SyntaxError:
+    return _fail(tok, f"expected {text!r}" + (f", got {tok.text!r}" if tok else ""))
 
 
 def parse(src: str) -> Term:
-    """Read a diagram from text; SyntaxError and TypeError carry line/col."""
-    tokens = _tokenize(src)
+    """Read a diagram from text; SyntaxError and TypeError carry line/col.
+
+    One pass over the tokens with an explicit stack, so text of any
+    nesting depth reads back.  A level is a bracket's contents or the
+    whole text: its opening token (None at the top), the sequence built
+    so far, the pending ``;`` and the ``|`` group being built.  The
+    sequence and the group are (term, in_type, out_type), or None before
+    their first atom; types are threaded so composition errors can point
+    at the offending operator.
+    """
+    tokens: list = _tokenize(src)
     if not tokens:
         return Empty()
-    p = _Parser(tokens)
-    t, _, _ = p.term()
-    leftover = p.peek()
-    if leftover is not None:
-        raise _fail(leftover, f"trailing input {leftover.text!r}")
-    return t
+    tokens.append(None)  # end of input
+    stack: list[tuple] = []  # the enclosing levels
+    opener = seq = op = group = None
+    i = 0
+    while True:  # read an atom: a generator, or the opening of a bracket
+        tok = tokens[i]
+        i += 1
+        if tok is None:
+            raise _fail(None, "expected a diagram")
+        text = tok.text
+        if text == "(" or text.startswith("tr[") or text == "tr":
+            if text != "(":
+                if text == "tr":
+                    raise _fail(tok, "tr needs a colour, as in tr[T](...)")
+                _colour(tok, text[3:-1])
+                if tokens[i] is None or tokens[i].text != "(":
+                    raise _expected("(", tokens[i])
+                i += 1
+            stack.append((opener, seq, op, group))
+            opener, seq, op, group = tok, None, None, None
+            continue
+        if not text[0].isalpha():
+            raise _fail(tok, f"unexpected {text!r}")
+        g = _gen(tok)
+        atom = (g, *g.signature())
+        while True:  # add the atom to the group, then read the token after it
+            if group is None:
+                group = atom
+            else:
+                group = (Par(group[0], atom[0]), group[1] + atom[1], group[2] + atom[2])
+            tok = tokens[i]
+            i += 1
+            after = tok and tok.text
+            if after == "|":
+                break
+            if seq is None:
+                seq = group
+            elif seq[2] != group[1]:
+                raise TypeError(
+                    f"line {op.line} col {op.col}: cannot compose "
+                    f"{type_str(seq[2])} into {type_str(group[1])}"
+                )
+            else:
+                seq = (Seq(seq[0], group[0]), seq[1], group[2])
+            group = None
+            if after == ";":
+                op = tok
+                break
+            if opener is None:
+                if tok:
+                    raise _fail(tok, f"trailing input {after!r}")
+                return seq[0]
+            if after != ")":
+                raise _expected(")", tok)
+            atom = seq
+            if opener.text != "(":
+                c = _COLOUR_OF[opener.text[3:-1]]
+                t, a, b = seq
+                if not a or not b or a[-1] != c or b[-1] != c:
+                    raise TypeError(
+                        f"line {opener.line} col {opener.col}: tr[{c.value}] needs "
+                        f"{c.value} last on both sides, got {type_str(a)} -> {type_str(b)}"
+                    )
+                atom = (Trace(c, t), a[:-1], b[:-1])
+            opener, seq, op, group = stack.pop()
 
 
 # ---------------------------------------------------------------------------

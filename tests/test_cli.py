@@ -147,11 +147,15 @@ class TestExitCodes:
         assert code == 1
         assert "cannot compose" in err
 
-    def test_deep_nesting_is_a_syntax_error(self, files, capsys):
-        code, out, err = run(capsys, "check", files("d.cpbs", "(" * 400 + "pbs" + ")" * 400))
-        assert code == 1
-        assert out == ""
-        assert err == "error: line 1 col 202: brackets nested deeper than 200\n"
+    def test_deep_opt_pbs_output_reads_back(self, files, capsys):
+        # opt-pbs puts each query on its own traced wire: 205 nested tr[T](
+        wide = " | ".join(f"gate[A{i}]" for i in range(205))
+        code, out, _ = run(capsys, "opt-pbs", files("d.cpbs", wide))
+        assert code == 0
+        assert out.count("tr[T](") == 205
+        code, out, err = run(capsys, "check", files("o.cpbs", out))
+        assert (code, err) == (0, "")
+        assert out == f"({','.join('T' * 205)}) -> ({','.join('T' * 205)})\n"
 
     def test_non_eulerian_graph(self, files, capsys):
         code, _, err = run(capsys, "reduce-ecd", files("g.graph", "A B\n"))

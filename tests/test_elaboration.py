@@ -3,7 +3,8 @@
 `to_netlist` is wrapped with a counter at every place a `cpbs.*` module
 holds it, so a stage that rebuilds a netlist it already has shows up as
 an extra call.  Rule patterns are compiled once per (rule, direction)
-and shared, so they must never change under matching or application.
+and shared, so they must never change under matching or application;
+staircase walks are likewise built once per staircase.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 import cpbs.netlist
+import cpbs.rewrite
 from cpbs import gallery
 from cpbs.cli import main
 from cpbs.netlist import to_netlist
@@ -44,19 +46,20 @@ def netlist_calls(monkeypatch):
     return calls
 
 
-# (diagram, command) -> to_netlist calls once the rule patterns are compiled.
+# (diagram, command) -> to_netlist calls once the rule patterns are compiled
+# and the staircases walked.
 # quantum_switch is query-optimal; three_query_circuit queries U twice
 # where once suffices.  opt-queries on three_query_circuit: the input, the
 # normal form's table check, the normal form's netlist, one replacement
 # side per rule application (4), and normalize(out) with its table check.
-# opt-pbs adds the PGT cut's netlist of that output, its staircase's table,
-# the stair form's table check and the PGT form's table check.
+# opt-pbs adds the PGT cut's netlist of that output, the stair form's table
+# check and the PGT form's table check.
 ELABORATIONS = {
     ("quantum_switch", "opt-queries"): 1,
-    ("quantum_switch", "opt-pbs"): 5,
+    ("quantum_switch", "opt-pbs"): 4,
     ("quantum_switch", "bounds"): 1,
     ("three_query_circuit", "opt-queries"): 9,
-    ("three_query_circuit", "opt-pbs"): 13,
+    ("three_query_circuit", "opt-pbs"): 12,
     ("three_query_circuit", "bounds"): 1,
 }
 
@@ -65,7 +68,7 @@ ELABORATIONS = {
 def test_command_elaborations(diagram, command, netlist_calls, tmp_path, capsys):
     path = tmp_path / "d.cpbs"
     path.write_text(print_term(getattr(gallery, diagram)()))
-    assert main([command, str(path)]) == 0  # compiles the rule patterns it uses
+    assert main([command, str(path)]) == 0  # compiles the patterns, walks the staircases
     first = capsys.readouterr().out
     netlist_calls[0] = 0
     assert main([command, str(path)]) == 0
@@ -88,6 +91,19 @@ def test_compile_runs_once_per_rule_and_direction(netlist_calls):
     assert _compile.cache_info().misses == 3
     # one netlist per compiled pattern, one per instantiated replacement side
     assert netlist_calls[0] == 3 + applied
+
+
+def test_find_matches_leaves_rule_sides_alone(monkeypatch):
+    # whether a direction invents words is decided when its pattern compiles
+    sites = [(r, dr) for r in ALL_RULE_IDS for dr in ("L2R", "R2L")]
+    for site in sites:
+        _compile(*site)
+    walked = []
+    original = cpbs.rewrite.word_vars
+    monkeypatch.setattr(cpbs.rewrite, "word_vars", lambda t: walked.append(t) or original(t))
+    n = to_netlist(gallery.three_query_circuit())
+    assert sum(len(find_matches(n, *site)) for site in sites) > 0
+    assert walked == []
 
 
 def test_netlist_and_term_agree():

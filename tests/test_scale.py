@@ -31,6 +31,7 @@ from cpbs.terms import (
     Gen,
     Par,
     Seq,
+    Trace,
     count_generators,
     count_neg,
     count_pbs,
@@ -133,6 +134,23 @@ def test_substitute_and_interpret(shape):
     assert type_of(m) == type_of(d)
     assert all(isinstance(g.word[0], MatrixLabel) for g in generators(m))
     assert count_generators(m) == SIZES[shape][0]
+
+
+@pytest.mark.parametrize("depth", [400, CHAIN])
+def test_nested_brackets_parse(depth):
+    assert parse("(" * depth + "pbs" + ")" * depth) == Gen("pbs4")
+
+
+def test_nested_traces_round_trip():
+    # each level loops a splitter's second output back to its second input
+    d = gate_t("U")
+    for _ in range(WIDE):
+        d = Trace(T, seq(par(d, Gen("id", colours=(T,))), Gen("pbs4")))
+    text = print_term(d)
+    assert text.count("tr[T](") == WIDE
+    back = parse(text)
+    assert back == d
+    assert type_of(back) == ((T,), (T,))
 
 
 @pytest.mark.parametrize("command", ["normalize", "bounds"])

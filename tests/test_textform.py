@@ -114,11 +114,6 @@ class TestErrors:
             ("tr(pbs)", "tr needs a colour"),
             ("tr[X](pbs)", "expected a colour"),
             ("pbs )", "trailing input"),
-            pytest.param(
-                "(" * 400 + "pbs" + ")" * 400,
-                r"line 1 col 202: brackets nested deeper than 200",
-                id="nested-400-deep",
-            ),
         ],
     )
     def test_syntax_errors(self, src, fragment):
