@@ -14,12 +14,12 @@ sends every sink to its unique source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .terms import (
     Colour,
     Empty,
-    STRUCT_KINDS,
     Gen,
     Term,
     Trace,
@@ -110,65 +110,115 @@ class UnionFind:
 # ---------------------------------------------------------------------------
 
 def to_netlist(d: Term) -> Netlist:
-    """Elaborate a well-typed term into its netlist, numbering nodes in leaf order."""
-    a, b = type_of(d)
-    uf = UnionFind()
+    """Elaborate a well-typed term into its netlist, numbering nodes in leaf order.
+
+    One fold types and wires the term.  Wire ends are integers: a
+    node's ports, one point per wire of an id, swap or perm, and the
+    boundary ports.  A part's value is its lists of ends for incoming
+    and outgoing wires; ``;`` joins the ends that meet, once their
+    colours agree, and a trace joins its last two.  Each class of
+    joined ends is one wire, or a loop if no port is in it; wires are
+    listed in the order of their classes' first ends.  On a type error
+    the message comes from type_of.
+    """
+    parent: list[int] = []  # union-find over ends; a class's root is its first end
+    colour: list[Colour] = []  # the colour of each end
+    sources: dict[int, Source] = {}  # the port at each node or boundary end
+    sinks: dict[int, Sink] = {}
     nodes: dict[int, Node] = {}
-    virtual_colour: dict = {}
 
-    def fresh_virtual(c: Colour):
-        v = ("v", len(virtual_colour))
-        virtual_colour[v] = c
-        uf.add(v)
-        return v
+    def mismatch():
+        type_of(d)  # raises the TypeError naming where the types meet
+        raise AssertionError("to_netlist found a type error that type_of did not")
 
-    # each part's value: (attachment points for incoming wires, for outgoing wires)
+    def join(x: int, y: int) -> None:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        else:
+            parent[x] = y
+
     def gen(t: Gen) -> tuple[list, list]:
-        if t.kind in STRUCT_KINDS:  # wiring only: one virtual point per wire
-            vs = [fresh_virtual(c) for c in t.colours]
-            outs = list(vs)
-            for v, s in zip(vs, t.wire_slots):
+        e = len(parent)
+        cs = t.colours  # only id, swap and perm have colours: wiring, one end per wire
+        if len(cs) == 1:
+            parent.append(e)
+            colour.append(cs[0])
+            return [e], [e]
+        if cs:
+            ins = list(range(e, e + len(cs)))
+            parent.extend(ins)
+            colour.extend(cs)
+            outs = ins[:]
+            for v, s in zip(ins, t.wire_slots):
                 outs[s] = v
-            return vs, outs
+            return ins, outs
         n = len(nodes)
         nodes[n] = Node(t.kind, t.word)
-        ta, tb = t.signature()
-        ins = [("nin", n, k) for k in range(len(ta))]
-        outs = [("nout", n, k) for k in range(len(tb))]
-        for x in ins + outs:
-            uf.add(x)
+        ta, tb = _FIXED_TYPES[t.kind]
+        mid = e + len(ta)
+        ins, outs = list(range(e, mid)), list(range(mid, mid + len(tb)))
+        parent.extend(ins)
+        parent.extend(outs)
+        colour.extend(ta)
+        colour.extend(tb)
+        for k, x in enumerate(ins):
+            sinks[x] = ("nin", n, k)
+        for k, x in enumerate(outs):
+            sources[x] = ("nout", n, k)
         return ins, outs
 
-    def then(f: tuple[list, list], s: tuple[list, list]) -> tuple[list, list]:
-        for x, y in zip(f[1], s[0]):
-            uf.union(x, y)
+    def then(f: tuple, s: tuple) -> tuple:
+        outs, ins = f[1], s[0]
+        if len(outs) != len(ins):
+            mismatch()
+        for x, y in zip(outs, ins):
+            if colour[x] != colour[y]:
+                mismatch()
+            join(x, y)
         return f[0], s[1]
 
-    def feedback(c: Colour, body: tuple[list, list]) -> tuple[list, list]:
+    def beside(t: tuple, b: tuple) -> tuple:
+        # every generator keeps its count of polarisation modes, so a part has
+        # inputs exactly when it has outputs; one with neither may be Empty's value
+        if not t[0]:
+            return b
+        t[0].extend(b[0])
+        t[1].extend(b[1])
+        return t
+
+    def feedback(c: Colour, body: tuple) -> tuple:
         ins, outs = body
-        uf.union(outs[-1], ins[-1])
-        return ins[:-1], outs[:-1]
+        if not ins or not outs or colour[ins[-1]] != c or colour[outs[-1]] != c:
+            mismatch()
+        join(outs.pop(), ins.pop())
+        return body
 
-    ins, outs = fold(d, gen, then, lambda t, b: (t[0] + b[0], t[1] + b[1]), feedback, ([], []))
+    ins, outs = fold(d, gen, then, beside, feedback, ((), ()))
+    a = tuple([colour[x] for x in ins])
+    b = tuple([colour[x] for x in outs])
     for i, x in enumerate(ins):
-        uf.union(("bin", i), x)
+        e = len(parent)
+        parent.append(e)
+        sources[e] = ("bin", i)
+        join(e, x)
     for j, x in enumerate(outs):
-        uf.union(("bout", j), x)
+        e = len(parent)
+        parent.append(e)
+        sinks[e] = ("bout", j)
+        join(e, x)
 
-    out = Netlist(a, b, nodes)
-    loop_colours: list[Colour] = []
-    for members in uf.classes().values():
-        srcs = [m for m in members if m[0] in ("bin", "nout")]
-        snks = [m for m in members if m[0] in ("bout", "nin")]
-        assert len(srcs) <= 1 and len(snks) <= 1, "malformed wiring"
-        if srcs and snks:
-            out.wires[snks[0]] = srcs[0]
-        elif not srcs and not snks:
-            loop_colours.append(virtual_colour[members[0]])
-        else:
-            raise AssertionError("dangling wire end")
-    out.loops = tuple(sorted(loop_colours, key=lambda c: c.value))
-    return out
+    for e in range(len(parent)):  # a parent is never after its child: one pass flattens
+        parent[e] = parent[parent[e]]
+    src = {parent[e]: p for e, p in sources.items()}
+    snk = {parent[e]: p for e, p in sinks.items()}
+    if len(src) != len(sources) or len(snk) != len(sinks) or src.keys() != snk.keys():
+        raise AssertionError("malformed wiring")
+    loops = sorted((colour[r] for r in set(parent).difference(snk)), key=lambda c: c.value)
+    return Netlist(a, b, nodes, {snk[r]: src[r] for r in sorted(snk)}, tuple(loops))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +339,11 @@ def to_term(n: Netlist) -> Term:
 
     The feedback wires of one depth-first walk are cut and rebound as
     traces; the remaining acyclic core is emitted as layers of single
-    boxes routed together by adjacent swaps.  Round-trips with
-    to_netlist up to isomorphism.
+    boxes routed together by adjacent swaps.  Boxes are emitted in
+    order of readiness: a box is ready once every box feeding it is
+    emitted, and a heap yields the least ready node id, so each step
+    costs the frontier's width and not a scan of every box left.
+    Round-trips with to_netlist up to isomorphism.
     """
     cuts = _back_wires(n)
     wires = dict(n.wires)
@@ -305,7 +358,6 @@ def to_term(n: Netlist) -> Term:
 
     frontier: list[Source] = [("bin", i) for i in range(len(in_ext))]
     layers: list[Term] = []
-    remaining = set(n.nodes)
 
     def colours_of(front: list[Source]) -> list[Colour]:
         out = []
@@ -331,27 +383,37 @@ def to_term(n: Netlist) -> Term:
                     changed = True
         return out
 
-    while remaining:
-        ready = [
-            nid
-            for nid in sorted(remaining)
-            if all(wires[snk] in frontier for snk in n.node_sinks(nid))
-        ]
-        assert ready, "cyclic core after feedback cutting"
-        nid = ready[0]
+    # a node is ready once every node feeding it is emitted: it awaits no more inputs
+    pending = dict.fromkeys(n.nodes, 0)
+    for snk, src in wires.items():
+        if src[0] == "nout" and snk[0] == "nin":
+            pending[snk[1]] += 1
+    ready = [nid for nid, k in pending.items() if not k]
+    heapify(ready)
+    while ready:
+        nid = heappop(ready)  # the least ready node, as a scan of every node would pick
         srcs = [wires[snk] for snk in n.node_sinks(nid)]
         chosen = set(srcs)
         dest = min(frontier.index(s) for s in srcs)
         others = [s for s in frontier if s not in chosen]
         new_front = others[:dest] + srcs + others[dest:]
-        slots = [new_front.index(s) for s in frontier]
-        layers.extend(swap_layers(colours_of(frontier), slots))
+        at = {s: i for i, s in enumerate(new_front)}
+        layers.extend(swap_layers(colours_of(frontier), [at[s] for s in frontier]))
         frontier = new_front
 
         node = n.nodes[nid]
         layers.append(layer(colours_of(frontier), dest, Gen(node.kind, node.word)))
-        frontier = frontier[:dest] + n.node_sources(nid) + frontier[dest + len(srcs) :]
-        remaining.discard(nid)
+        outs = n.node_sources(nid)
+        frontier = frontier[:dest] + outs + frontier[dest + len(srcs) :]
+        del pending[nid]
+        for src in outs:
+            snk = sink_of[src]
+            if snk[0] == "nin":
+                pending[snk[1]] -= 1
+                if not pending[snk[1]]:
+                    heappush(ready, snk[1])
+    if pending:
+        raise AssertionError("cyclic core after feedback cutting")
 
     if frontier:
         slots = [sink_of[src][1] for src in frontier]

@@ -393,14 +393,25 @@ def fold(d: Term, gen: Callable, seq: Callable, par: Callable, trace: Callable, 
 
 # A typed part is (input type, output type, kind of its first and of its
 # last generator); the kinds name a mismatch without printing the term.
+# The types of a parallel group are lists, which each ``|`` extends in
+# place, so a group costs its width and not its width squared.
 
 def _typed_seq(f: tuple, s: tuple) -> tuple:
-    if f[1] != s[0]:
+    if f[1] != s[0] and tuple(f[1]) != tuple(s[0]):  # a list never equals a tuple
         raise TypeError(
             f"sequential mismatch: {type_str(f[1])} then {type_str(s[0])}"
             f" where {f[3] or 'nothing'} meets {s[2] or 'nothing'}"
         )
     return f[0], s[1], f[2] or s[2], s[3] or f[3]
+
+
+def _typed_par(t: tuple, b: tuple) -> tuple:
+    # a tuple is a generator's signature or the empty type, shared: extend a copy
+    a = t[0] if type(t[0]) is list else list(t[0])
+    o = t[1] if type(t[1]) is list else list(t[1])
+    a += b[0]
+    o += b[1]
+    return a, o, t[2] or b[2], b[3] or t[3]
 
 
 def _typed_trace(c: Colour, v: tuple) -> tuple:
@@ -419,10 +430,9 @@ def type_of(d: Term) -> tuple[WireType, WireType]:
     Raises TypeError naming the generators where sequential composition
     or a trace violates the type discipline.
     """
-    a, b, _, _ = fold(d, lambda g: (*g.signature(), g.kind, g.kind), _typed_seq,
-                      lambda t, b: (t[0] + b[0], t[1] + b[1], t[2] or b[2], b[3] or t[3]),
+    a, b, _, _ = fold(d, lambda g: (*g.signature(), g.kind, g.kind), _typed_seq, _typed_par,
                       _typed_trace, ((), (), "", ""))
-    return a, b
+    return tuple(a), tuple(b)
 
 
 def type_str(t: WireType) -> str:

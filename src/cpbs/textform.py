@@ -169,7 +169,9 @@ def parse(src: str) -> Term:
     so far, the pending ``;`` and the ``|`` group being built.  The
     sequence and the group are (term, in_type, out_type), or None before
     their first atom; types are threaded so composition errors can point
-    at the offending operator.
+    at the offending operator.  A group of several atoms keeps its types
+    in lists until it ends, so a wide group costs its width, not its
+    width squared.
     """
     tokens: list = _tokenize(src)
     if not tokens:
@@ -202,13 +204,20 @@ def parse(src: str) -> Term:
         while True:  # add the atom to the group, then read the token after it
             if group is None:
                 group = atom
-            else:
-                group = (Par(group[0], atom[0]), group[1] + atom[1], group[2] + atom[2])
+            else:  # the group's types become lists, extended in place, at its second atom
+                t, a, b = group
+                if type(a) is tuple:
+                    a, b = list(a), list(b)
+                a += atom[1]
+                b += atom[2]
+                group = (Par(t, atom[0]), a, b)
             tok = tokens[i]
             i += 1
             after = tok and tok.text
             if after == "|":
                 break
+            if type(group[1]) is list:
+                group = (group[0], tuple(group[1]), tuple(group[2]))
             if seq is None:
                 seq = group
             elif seq[2] != group[1]:

@@ -1,20 +1,37 @@
 from __future__ import annotations
 
+import inspect
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from cpbs.netlist import Netlist, Node, netlists_isomorphic, to_netlist, to_term
+import pytest
+
+import cpbs
+from cpbs import gallery
+from cpbs.netlist import Netlist, Node, UnionFind, _back_wires, netlists_isomorphic, to_netlist, to_term
+from cpbs.normal_form import normalize
 from cpbs.randgen import random_diagram
+from cpbs.rules import RULES
 from cpbs.terms import (
+    STRUCT_KINDS,
     Colour,
     Empty,
+    Gen,
     Par,
     Seq,
+    Term,
     Trace,
+    fold,
     gate_t,
     gate_v,
     gate_h,
     ident,
+    identity_of,
+    layer,
     merge_vh,
     neg_t,
     neg_vh,
@@ -253,3 +270,195 @@ def test_handbuilt_netlist_roundtrip():
     back = to_term(n)
     assert type_of(back) == ((T,), (T,))
     assert netlists_isomorphic(to_netlist(back), n)
+
+
+# ---------------------------------------------------------------------------
+# cross-checks against plainer elaboration and extraction
+# ---------------------------------------------------------------------------
+
+def _reference_netlist(d: Term) -> Netlist:
+    """A two-pass elaboration: type_of, then a fold joining port tuples in a dict union-find."""
+    a, b = type_of(d)
+    uf = UnionFind()
+    nodes: dict[int, Node] = {}
+    virtual_colour: dict = {}
+
+    def fresh_virtual(c):
+        v = ("v", len(virtual_colour))
+        virtual_colour[v] = c
+        uf.add(v)
+        return v
+
+    def gen(t: Gen):
+        if t.kind in STRUCT_KINDS:
+            vs = [fresh_virtual(c) for c in t.colours]
+            outs = list(vs)
+            for v, s in zip(vs, t.wire_slots):
+                outs[s] = v
+            return vs, outs
+        n = len(nodes)
+        nodes[n] = Node(t.kind, t.word)
+        ta, tb = t.signature()
+        ins = [("nin", n, k) for k in range(len(ta))]
+        outs = [("nout", n, k) for k in range(len(tb))]
+        for x in ins + outs:
+            uf.add(x)
+        return ins, outs
+
+    def then(f, s):
+        for x, y in zip(f[1], s[0]):
+            uf.union(x, y)
+        return f[0], s[1]
+
+    def feedback(c, body):
+        ins, outs = body
+        uf.union(outs[-1], ins[-1])
+        return ins[:-1], outs[:-1]
+
+    ins, outs = fold(d, gen, then, lambda t, b: (t[0] + b[0], t[1] + b[1]), feedback, ([], []))
+    for i, x in enumerate(ins):
+        uf.union(("bin", i), x)
+    for j, x in enumerate(outs):
+        uf.union(("bout", j), x)
+    out = Netlist(a, b, nodes)
+    loop_colours = []
+    for members in uf.classes().values():
+        srcs = [m for m in members if m[0] in ("bin", "nout")]
+        snks = [m for m in members if m[0] in ("bout", "nin")]
+        assert len(srcs) <= 1 and len(snks) <= 1 and len(srcs) == len(snks)
+        if srcs:
+            out.wires[snks[0]] = srcs[0]
+        else:
+            loop_colours.append(virtual_colour[members[0]])
+    out.loops = tuple(sorted(loop_colours, key=lambda c: c.value))
+    return out
+
+
+def _reference_term(n: Netlist) -> Term:
+    """A scan-based extraction: each step scans every remaining node for the least ready one."""
+    cuts = _back_wires(n)
+    wires = dict(n.wires)
+    in_ext = list(n.in_type)
+    sink_of = n.sink_of()
+    for m, (snk, src) in enumerate(cuts):
+        in_ext.append(n.sink_colour(snk))
+        wires[snk] = ("bin", len(n.in_type) + m)
+        sink_of[src] = ("bout", len(n.out_type) + m)
+
+    def colours_of(front):
+        return [in_ext[s[1]] if s[0] == "bin" else n.source_colour(s) for s in front]
+
+    def swap_layers(colours, slots):
+        arr = list(range(len(slots)))
+        out = []
+        changed = True
+        while changed:
+            changed = False
+            for s in range(len(arr) - 1):
+                if slots[arr[s]] > slots[arr[s + 1]]:
+                    out.append(layer([colours[a] for a in arr], s, swap(colours[arr[s]], colours[arr[s + 1]])))
+                    arr[s], arr[s + 1] = arr[s + 1], arr[s]
+                    changed = True
+        return out
+
+    frontier = [("bin", i) for i in range(len(in_ext))]
+    layers = []
+    remaining = set(n.nodes)
+    while remaining:
+        nid = min(u for u in remaining if all(wires[snk] in frontier for snk in n.node_sinks(u)))
+        srcs = [wires[snk] for snk in n.node_sinks(nid)]
+        dest = min(frontier.index(s) for s in srcs)
+        others = [s for s in frontier if s not in srcs]
+        new_front = others[:dest] + srcs + others[dest:]
+        layers += swap_layers(colours_of(frontier), [new_front.index(s) for s in frontier])
+        frontier = new_front
+        node = n.nodes[nid]
+        layers.append(layer(colours_of(frontier), dest, Gen(node.kind, node.word)))
+        frontier = frontier[:dest] + n.node_sources(nid) + frontier[dest + len(srcs):]
+        remaining.discard(nid)
+    layers += swap_layers(colours_of(frontier), [sink_of[s][1] for s in frontier])
+    core = seq(*layers) if layers else identity_of(tuple(in_ext))
+    for m in range(len(cuts) - 1, -1, -1):
+        core = Trace(in_ext[len(n.in_type) + m], core)
+    parts = [p for p in [core] + [Trace(c, ident(c)) for c in n.loops] if not isinstance(p, Empty)]
+    return par(*parts) if parts else Empty()
+
+
+def _cross_check_terms() -> list[Term]:
+    """Random draws, the gallery, normal forms, extracted terms and every rule side."""
+    drawn = [random_diagram(s) for s in range(120)]
+    drawn += [random_diagram(s, max_generators=24, max_wires=5) for s in range(40)]
+    named = [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
+             if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+    shown = drawn[:40] + named
+    return (drawn + named
+            + [normalize(d).as_term() for d in shown]
+            + [to_term(to_netlist(d)) for d in shown]
+            + [side for r in RULES.values() for side in (r.lhs, r.rhs)])
+
+
+def _shape(n: Netlist) -> tuple:
+    return n.in_type, n.out_type, n.nodes, list(n.wires.items()), n.loops
+
+
+def test_to_netlist_matches_reference():
+    terms = _cross_check_terms()
+    assert len(terms) > 300
+    for k, d in enumerate(terms):
+        assert _shape(to_netlist(d)) == _shape(_reference_netlist(d)), f"term {k}"
+
+
+def test_to_term_matches_reference():
+    nets = [to_netlist(d) for d in _cross_check_terms()]
+    for k, n in enumerate(nets):
+        assert to_term(n) == _reference_term(n), f"netlist {k}"
+
+
+# each names its kind of type error; every one must reach to_netlist's check
+ILL_TYPED = {
+    "seq-colours": Seq(split_vh(), pbs4()),
+    "seq-widths": Seq(pbs4(), neg_t()),
+    "seq-inside": par(gate_t("U"), Seq(ident(T), Seq(gate_v("U"), neg_t()))),
+    "trace-colour": Trace(V, pbs4()),
+    "trace-one-side": Trace(H, Seq(split_vh(), par(ident(V), gate_h("U")))),
+    "trace-empty": Trace(T, Empty()),
+    "trace-inside": Seq(gate_t("U"), Trace(T, Trace(T, pbs4()))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_TYPED))
+def test_ill_typed_terms_raise_the_type_of_message(name):
+    d = ILL_TYPED[name]
+    with pytest.raises(TypeError) as want:
+        type_of(d)
+    with pytest.raises(TypeError) as got:
+        to_netlist(d)
+    assert str(got.value) == str(want.value)
+
+
+def test_ill_typed_terms_raise_under_optimisation():
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(tests)!r})\n"
+        "from test_netlist import ILL_TYPED\n"
+        "from cpbs.netlist import to_netlist\n"
+        "for name in sorted(ILL_TYPED):\n"
+        "    try:\n"
+        "        to_netlist(ILL_TYPED[name])\n"
+        "        print('no error')\n"
+        "    except TypeError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(cpbs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    lines = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    want = []
+    for name in sorted(ILL_TYPED):
+        with pytest.raises(TypeError) as e:
+            type_of(ILL_TYPED[name])
+        want.append(str(e.value))
+    assert lines == want

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache, reduce
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from cpbs.cli import main
 from cpbs.errors import CpbsError
-from cpbs.netlist import netlists_isomorphic, to_netlist
+from cpbs.netlist import netlists_isomorphic, to_netlist, to_term
 from cpbs.normal_form import normalize
 from cpbs.quantum import MatrixLabel, interpret
 from cpbs.randgen import random_diagram
@@ -49,6 +50,8 @@ from cpbs.textform import parse, print_term
 
 T, V, H = Colour.T, Colour.V, Colour.H
 CHAIN, WIDE = 10_000, 2_000
+BROAD = 32_000  # gates in one parallel group, for the stages linear in its width
+BOUND_S = 5.0  # a generous wall-clock bound for a stage that is linear in its input
 
 
 @contextmanager
@@ -134,6 +137,28 @@ def test_substitute_and_interpret(shape):
     assert type_of(m) == type_of(d)
     assert all(isinstance(g.word[0], MatrixLabel) for g in generators(m))
     assert count_generators(m) == SIZES[shape][0]
+
+
+def test_chain_to_term_round_trip():
+    net = to_netlist(_big("chain", gate_t("U")))
+    start = time.perf_counter()
+    back = to_term(net)
+    assert time.perf_counter() - start < BOUND_S
+    assert netlists_isomorphic(to_netlist(back), net)
+
+
+def test_broad_group_is_typed_elaborated_and_parsed():
+    d = par(*[gate_t("U")] * BROAD)
+    text = print_term(d)
+    start = time.perf_counter()
+    a, b = type_of(d)
+    net = to_netlist(d)
+    back = parse(text)
+    assert time.perf_counter() - start < BOUND_S
+    assert a == b == (T,) * BROAD
+    assert len(net.nodes) == BROAD and net.in_type == a
+    assert net.wires[("bout", BROAD - 1)] == ("nout", BROAD - 1, 0)
+    assert back == d
 
 
 @pytest.mark.parametrize("depth", [400, CHAIN])
