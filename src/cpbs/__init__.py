@@ -62,12 +62,6 @@ from .semantics import (
     semantics_table,
     tables_equal,
 )
-from .quantum import (
-    GateAssignment,
-    interpret,
-    isometry_defect,
-    quantum_matrix,
-)
 from .rules import ALL_RULE_IDS, RULES, Rule
 from .rewrite import (
     ProofStep,
@@ -119,3 +113,15 @@ from .randgen import random_diagram
 from .textform import parse, print_term
 
 __version__ = "0.1.0"
+
+# The quantum semantics needs numpy, which takes longer to import than the
+# rest of the package: its names load on first use (PEP 562).
+_QUANTUM_NAMES = frozenset({"GateAssignment", "interpret", "isometry_defect", "quantum_matrix"})
+
+
+def __getattr__(name: str):
+    if name in _QUANTUM_NAMES:
+        from . import quantum
+
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,8 +12,7 @@ import argparse
 import functools
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CpbsError, HasGates
 from .hardness import build_C_w_sigma, orient_eulerian, parse_graph
@@ -21,11 +20,15 @@ from .netlist import to_netlist
 from .normal_form import equivalent, normalize
 from .pgt import to_pgt_form
 from .query_opt import optimize_queries, query_profile
-from .quantum import GateAssignment, quantum_matrix
 from .semantics import semantics_table
 from .stairs import pbs_lower_bound
 from .terms import Colour, Term, count_pbs, type_of, type_str
 from .textform import parse, print_term
+
+if TYPE_CHECKING:  # numpy and the quantum semantics load only for `simulate`
+    import numpy as np
+
+    from .quantum import GateAssignment
 
 _EDGE_COLOUR = {Colour.T: "black", Colour.V: "red", Colour.H: "blue"}
 
@@ -66,6 +69,10 @@ def _bounds_text(d: Term) -> str:
 
 
 def _read_assignment(path: str | None) -> GateAssignment:
+    import numpy as np
+
+    from .quantum import GateAssignment
+
     if path is None:
         return GateAssignment(1, {})
     mats: dict[str, np.ndarray] = {}
@@ -158,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    seed = int(os.environ.get("CPBS_SEED", "0"))
     try:
         if args.command == "check":
             a, b = type_of(_load(args.file))
@@ -180,11 +186,19 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "bounds":
             print(_bounds_text(_load(args.file)))
         elif args.command == "simulate":
+            from . import quantum  # read at call time, so a wrapper put on quantum.quantum_matrix runs
+
             t = semantics_table(to_netlist(_load(args.file)))
-            print(_matrix_tsv(quantum_matrix(t, _read_assignment(args.assign))))
+            print(_matrix_tsv(quantum.quantum_matrix(t, _read_assignment(args.assign))))
         elif args.command == "export-dot":
             print(_dot_text(_load(args.file)))
         else:  # reduce-ecd
+            seed_text = os.environ.get("CPBS_SEED", "0")
+            try:
+                seed = int(seed_text)
+            except ValueError:
+                print(f"error: CPBS_SEED must be an integer, got {seed_text!r}", file=sys.stderr)
+                return 2
             g = parse_graph(_read(args.graphfile))
             o = orient_eulerian(g, seed=seed)
             print(print_term(build_C_w_sigma(o.w, o.sigma)))

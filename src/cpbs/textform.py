@@ -70,7 +70,7 @@ _UNKNOWN_VARIANT = {
     "neg": "unknown negation",
 }
 
-_TOKEN_RE = re.compile(r"[A-Za-z]+(\[[^\]\[]*\])?|[;|()]|\S")
+_TOKEN_RE = re.compile(r"[A-Za-z]+(?:\[[^\]\[]*\])?|[;|()]|\S")
 
 
 class _Token(NamedTuple):
@@ -80,6 +80,7 @@ class _Token(NamedTuple):
 
 
 def _tokenize(src: str) -> list[_Token]:
+    """The tokens of src with their positions: the one place positions come from."""
     out = []
     for lineno, raw in enumerate(src.splitlines(), 1):
         line = raw.split("#", 1)[0]
@@ -88,119 +89,146 @@ def _tokenize(src: str) -> list[_Token]:
     return out
 
 
-def _fail(tok: _Token | None, why: str) -> SyntaxError:
-    where = f"line {tok.line} col {tok.col}" if tok else "end of input"
-    return SyntaxError(f"{where}: {why}")
+def _token_texts(src: str) -> list[str]:
+    """The texts of _tokenize(src), in the same order, with no positions."""
+    find = _TOKEN_RE.findall
+    out: list[str] = []
+    for raw in src.splitlines():
+        out += find(raw.split("#", 1)[0])
+    return out
 
 
-def _colour(tok: _Token, text: str) -> Colour:
+def _located(src: str, i: int, why: str, error: type = SyntaxError) -> Exception:
+    """error(why) placed at the i-th token of src, or at the end of input past the last."""
+    tokens = _tokenize(src)
+    where = f"line {tokens[i].line} col {tokens[i].col}" if i < len(tokens) else "end of input"
+    return error(f"{where}: {why}")
+
+
+def _colour(text: str) -> Colour:
     c = _COLOUR_OF.get(text)
     if c is None:
-        raise _fail(tok, f"expected a colour T, V or H, got {text!r}")
+        raise SyntaxError(f"expected a colour T, V or H, got {text!r}")
     return c
 
 
-def _word(tok: _Token, text: str) -> tuple[str, ...]:
+def _word(text: str) -> tuple[str, ...]:
     if not text:
         return ()
     letters = tuple(text.split("."))
     for u in letters:
         if not _LETTER_RE.match(u):
-            raise _fail(tok, f"bad oracle letter {u!r}")
+            raise SyntaxError(f"bad oracle letter {u!r}")
     return letters
 
 
-def _gen(tok: _Token) -> Gen:
-    kind = _KIND_OF.get(tok.text)
+def _gen(text: str) -> Gen:
+    """The generator spelt text; a SyntaxError without a location if there is none."""
+    kind = _KIND_OF.get(text)
     if kind is not None:
         return Gen(kind)
-    name, _, rest = tok.text.partition("[")
+    name, _, rest = text.partition("[")
     payload = rest[:-1] if rest else None
     if name == "id":
         if payload is None:
-            raise _fail(tok, "id needs a colour, as in id[T]")
-        return Gen("id", colours=(_colour(tok, payload),))
+            raise SyntaxError("id needs a colour, as in id[T]")
+        return Gen("id", colours=(_colour(payload),))
     if name == "swap":
         parts = (payload or "").split(",")
         if payload is None or len(parts) != 2:
-            raise _fail(tok, "swap needs two colours, as in swap[T,V]")
-        return Gen("swap", colours=(_colour(tok, parts[0]), _colour(tok, parts[1])))
+            raise SyntaxError("swap needs two colours, as in swap[T,V]")
+        return Gen("swap", colours=(_colour(parts[0]), _colour(parts[1])))
     if name == "perm":
-        return _perm(tok, payload)
+        return _perm(payload)
     if name == "gate":
         if payload is None:
-            raise _fail(tok, "gate needs a word, as in gate[U.V]")
+            raise SyntaxError("gate needs a word, as in gate[U.V]")
         word_part, _, colour_part = payload.partition(",")
         c = _COLOUR_OF.get(colour_part or "T")
         if c is None:
-            raise _fail(tok, f"bad gate colour {colour_part!r}")
-        return Gen(GATE_FOR[c], _word(tok, word_part))
+            raise SyntaxError(f"bad gate colour {colour_part!r}")
+        return Gen(GATE_FOR[c], _word(word_part))
     if name in _UNKNOWN_VARIANT:
-        raise _fail(tok, f"{_UNKNOWN_VARIANT[name]} {tok.text}")
-    raise _fail(tok, f"unknown generator {tok.text!r}")
+        raise SyntaxError(f"{_UNKNOWN_VARIANT[name]} {text}")
+    raise SyntaxError(f"unknown generator {text!r}")
 
 
-def _perm(tok: _Token, payload: str | None) -> Gen:
+def _perm(payload: str | None) -> Gen:
     colour_part, semi, slot_part = (payload or "").partition(";")
     if not semi:
-        raise _fail(tok, "perm needs colours and slots, as in perm[T,V;1,0]")
-    colours = tuple(_colour(tok, c) for c in colour_part.split(","))
+        raise SyntaxError("perm needs colours and slots, as in perm[T,V;1,0]")
+    colours = tuple(_colour(c) for c in colour_part.split(","))
     texts = slot_part.split(",")
     if not all(x.isascii() and x.isdigit() for x in texts):
-        raise _fail(tok, f"perm slots must be numbers, got {slot_part!r}")
+        raise SyntaxError(f"perm slots must be numbers, got {slot_part!r}")
     slots = tuple(int(x) for x in texts)
     if len(slots) != len(colours):
-        raise _fail(tok, f"perm has {len(colours)} colours but {len(slots)} slots")
+        raise SyntaxError(f"perm has {len(colours)} colours but {len(slots)} slots")
     if sorted(slots) != list(range(len(slots))):
-        raise _fail(tok, f"perm slots {slot_part!r} are not a permutation")
+        raise SyntaxError(f"perm slots {slot_part!r} are not a permutation")
     return Gen("perm", colours=colours, slots=slots)
 
 
-def _expected(text: str, tok: _Token | None) -> SyntaxError:
-    return _fail(tok, f"expected {text!r}" + (f", got {tok.text!r}" if tok else ""))
+def _expected(src: str, i: int, want: str, got: str) -> SyntaxError:
+    return _located(src, i, f"expected {want!r}" + (f", got {got!r}" if got else ""))
 
 
 def parse(src: str) -> Term:
     """Read a diagram from text; SyntaxError and TypeError carry line/col.
 
+    The tokens are plain strings, found line by line with comments cut
+    off.  Positions are not tracked: an error names the index of its
+    token, and only then is ``line L col C`` looked up, in
+    ``_tokenize(src)``, which finds the same tokens in the same order.
+    Each distinct generator spelling is validated, built and typed once
+    per call, and every later occurrence shares that frozen ``Gen``.
+
     One pass over the tokens with an explicit stack, so text of any
     nesting depth reads back.  A level is a bracket's contents or the
-    whole text: its opening token (None at the top), the sequence built
-    so far, the pending ``;`` and the ``|`` group being built.  The
-    sequence and the group are (term, in_type, out_type), or None before
-    their first atom; types are threaded so composition errors can point
-    at the offending operator.  A group of several atoms keeps its types
-    in lists until it ends, so a wide group costs its width, not its
-    width squared.
+    whole text: the index of its opening token (None at the top), the
+    sequence built so far, the index of the pending ``;`` and the ``|``
+    group being built.  The sequence and the group are (term, in_type,
+    out_type), or None before their first atom; types are threaded so
+    composition errors can point at the offending operator.  A group of
+    several atoms keeps its types in lists until it ends, so a wide
+    group costs its width, not its width squared.
     """
-    tokens: list = _tokenize(src)
+    tokens = _token_texts(src)
     if not tokens:
         return Empty()
-    tokens.append(None)  # end of input
+    tokens.append("")  # end of input
+    atoms: dict[str, tuple] = {}  # generator spelling -> (Gen, in_type, out_type)
     stack: list[tuple] = []  # the enclosing levels
     opener = seq = op = group = None
     i = 0
     while True:  # read an atom: a generator, or the opening of a bracket
-        tok = tokens[i]
+        text = tokens[i]
         i += 1
-        if tok is None:
-            raise _fail(None, "expected a diagram")
-        text = tok.text
-        if text == "(" or text.startswith("tr[") or text == "tr":
-            if text != "(":
-                if text == "tr":
-                    raise _fail(tok, "tr needs a colour, as in tr[T](...)")
-                _colour(tok, text[3:-1])
-                if tokens[i] is None or tokens[i].text != "(":
-                    raise _expected("(", tokens[i])
-                i += 1
-            stack.append((opener, seq, op, group))
-            opener, seq, op, group = tok, None, None, None
-            continue
-        if not text[0].isalpha():
-            raise _fail(tok, f"unexpected {text!r}")
-        g = _gen(tok)
-        atom = (g, *g.signature())
+        atom = atoms.get(text)
+        if atom is None:
+            if not text:
+                raise _located(src, i - 1, "expected a diagram")
+            if text == "(" or text.startswith("tr[") or text == "tr":
+                stack.append((opener, seq, op, group))
+                opener, seq, op, group = i - 1, None, None, None
+                if text != "(":
+                    if text == "tr":
+                        raise _located(src, i - 1, "tr needs a colour, as in tr[T](...)")
+                    try:
+                        _colour(text[3:-1])
+                    except SyntaxError as e:
+                        raise _located(src, i - 1, e.msg) from None
+                    if tokens[i] != "(":
+                        raise _expected(src, i, "(", tokens[i])
+                    i += 1
+                continue
+            if not text[0].isalpha():
+                raise _located(src, i - 1, f"unexpected {text!r}")
+            try:
+                g = _gen(text)
+            except SyntaxError as e:
+                raise _located(src, i - 1, e.msg) from None
+            atom = atoms[text] = (g, *g.signature())
         while True:  # add the atom to the group, then read the token after it
             if group is None:
                 group = atom
@@ -211,9 +239,8 @@ def parse(src: str) -> Term:
                 a += atom[1]
                 b += atom[2]
                 group = (Par(t, atom[0]), a, b)
-            tok = tokens[i]
+            after = tokens[i]
             i += 1
-            after = tok and tok.text
             if after == "|":
                 break
             if type(group[1]) is list:
@@ -221,30 +248,29 @@ def parse(src: str) -> Term:
             if seq is None:
                 seq = group
             elif seq[2] != group[1]:
-                raise TypeError(
-                    f"line {op.line} col {op.col}: cannot compose "
-                    f"{type_str(seq[2])} into {type_str(group[1])}"
+                raise _located(
+                    src, op, f"cannot compose {type_str(seq[2])} into {type_str(group[1])}", TypeError
                 )
             else:
                 seq = (Seq(seq[0], group[0]), seq[1], group[2])
             group = None
             if after == ";":
-                op = tok
+                op = i - 1
                 break
             if opener is None:
-                if tok:
-                    raise _fail(tok, f"trailing input {after!r}")
+                if after:
+                    raise _located(src, i - 1, f"trailing input {after!r}")
                 return seq[0]
             if after != ")":
-                raise _expected(")", tok)
+                raise _expected(src, i - 1, ")", after)
             atom = seq
-            if opener.text != "(":
-                c = _COLOUR_OF[opener.text[3:-1]]
+            if tokens[opener] != "(":
+                c = _COLOUR_OF[tokens[opener][3:-1]]
                 t, a, b = seq
                 if not a or not b or a[-1] != c or b[-1] != c:
-                    raise TypeError(
-                        f"line {opener.line} col {opener.col}: tr[{c.value}] needs "
-                        f"{c.value} last on both sides, got {type_str(a)} -> {type_str(b)}"
+                    raise _located(
+                        src, opener, f"tr[{c.value}] needs {c.value} last on both sides, "
+                        f"got {type_str(a)} -> {type_str(b)}", TypeError
                     )
                 atom = (Trace(c, t), a[:-1], b[:-1])
             opener, seq, op, group = stack.pop()

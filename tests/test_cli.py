@@ -1,7 +1,14 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cpbs
 from cpbs.cli import build_parser, main
 
 SWITCH = "tr[T](pbs ; (gate[U] | gate[V]) ; swap[T,T] ; pbs)\n"
@@ -168,6 +175,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_non_integer_seed_is_a_usage_error(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("CPBS_SEED", "abc")
+        code, out, err = run(capsys, "reduce-ecd", files("g.graph", TRIANGLE))
+        assert (code, out) == (2, "")
+        assert err == "error: CPBS_SEED must be an integer, got 'abc'\n"
+        code, out, err = run(capsys, "check", files("d.cpbs", SWITCH))  # only reduce-ecd reads it
+        assert (code, out, err) == (0, "(T) -> (T)\n", "")
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, files, capsys):
@@ -223,3 +238,42 @@ class TestParserReuse:
         assert code == 0
         assert out == "(T) -> (T)\n"
         assert err == ""
+
+
+# Run in a fresh interpreter: this one has numpy loaded by other tests.
+LAZY_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import cpbs
+seen = {"import": "numpy" in sys.modules}
+import cpbs.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["check_exit"] = cpbs.cli.main(["check", sys.argv[1]])
+seen["check"] = "numpy" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    seen["simulate_exit"] = cpbs.cli.main(["simulate", sys.argv[1]])
+seen["simulate_rows"] = len(out.getvalue().splitlines())
+seen["simulate"] = "numpy" in sys.modules
+from cpbs import quantum_matrix
+import cpbs.quantum
+seen["same_function"] = quantum_matrix is cpbs.quantum.quantum_matrix
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_the_quantum_semantics(files):
+    src = str(Path(cpbs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_NUMPY_SCRIPT, files("d.cpbs", "pbs")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == {
+        "import": False,
+        "check_exit": 0,
+        "check": False,
+        "simulate_exit": 0,
+        "simulate_rows": 4,
+        "simulate": True,
+        "same_function": True,
+    }

@@ -161,6 +161,25 @@ def test_broad_group_is_typed_elaborated_and_parsed():
     assert back == d
 
 
+PARSE_TOKENS = 100_000  # generators in one text, for the parser's per-token cost
+
+
+@pytest.mark.parametrize(
+    "spelling, sep, op", [("id[T]", " | ", Par), ("gate[U]", " ; ", Seq)], ids=["side-by-side", "chain"]
+)
+def test_parse_is_linear_in_tokens(spelling, sep, op):
+    text = sep.join([spelling] * PARSE_TOKENS)
+    start = time.perf_counter()
+    d = parse(text)
+    assert time.perf_counter() - start < BOUND_S
+    leaves = []
+    while type(d) is op:  # left-nested: the last leaf is on the right at the root
+        leaves.append(d.second if op is Seq else d.bottom)
+        d = d.first if op is Seq else d.top
+    assert len(leaves) == PARSE_TOKENS - 1
+    assert d == parse(spelling) and all(x is d for x in leaves)
+
+
 @pytest.mark.parametrize("depth", [400, CHAIN])
 def test_nested_brackets_parse(depth):
     assert parse("(" * depth + "pbs" + ")" * depth) == Gen("pbs4")

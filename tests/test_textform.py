@@ -85,6 +85,14 @@ class TestParse:
         assert isinstance(g, Gen)
         assert parse(print_term(g)) == g
 
+    def test_each_spelling_is_built_once_per_call(self):
+        d = parse("id[T] | id[T]")
+        assert d.top is d.bottom
+        d = parse("pbs ; gate[U] | gate[U] ; pbs")
+        assert d.first.first is d.second
+        assert d.first.second.top is d.first.second.bottom
+        assert parse("pbs") is not parse("pbs")  # the cache lives for one call
+
     def test_gate_black_suffix_is_optional(self):
         assert parse("gate[U,T]") == parse("gate[U]")
 
@@ -131,6 +139,42 @@ class TestErrors:
     def test_trace_type_error(self):
         with pytest.raises(TypeError, match=r"tr\[V\] needs V last"):
             parse("tr[V](pbs)")
+
+    # Multi-line sources with comments (holding tokens of their own), tabs
+    # and repeated spellings; the messages, locations included, are exact.
+    @pytest.mark.parametrize(
+        "src, error, message",
+        [
+            ("# header (\npbs ;\n\tpbs | wat\n", SyntaxError,
+             "line 3 col 8: unknown generator 'wat'"),
+            ("pbs ;  # tr[T](\n  tr[X](pbs)", SyntaxError,
+             "line 2 col 3: expected a colour T, V or H, got 'X'"),
+            ("pbs ;\n# ( pbs\n\ttr[T] pbs", SyntaxError,
+             "line 3 col 8: expected '(', got 'pbs'"),
+            ("(pbs ;\n\tpbs pbs)", SyntaxError,
+             "line 2 col 6: expected ')', got 'pbs'"),
+            ("(pbs ;\n\tpbs\n# )\n", SyntaxError, "end of input: expected ')'"),
+            ("pbs\n\t# pbs ;\n  pbs", SyntaxError, "line 3 col 3: trailing input 'pbs'"),
+            ("pbs ;\r\n  pbs ; wat", SyntaxError, "line 2 col 9: unknown generator 'wat'"),
+            ("wat |\n wat", SyntaxError, "line 1 col 1: unknown generator 'wat'"),
+            ("id[T] | id[T]\n; id[T] | id[T]\n; id[T] | id[T] id[T]", SyntaxError,
+             "line 3 col 17: trailing input 'id[T]'"),
+            ("split ;\n  merge ;\n\t# split ;\n\tsplit ; split", TypeError,
+             "line 4 col 8: cannot compose (V,H) into (T)"),
+            ("pbs ;\n  # tr[T](\n\ttr[V](pbs)", TypeError,
+             "line 3 col 2: tr[V] needs V last on both sides, got (T,T) -> (T,T)"),
+        ],
+        ids=[
+            "unknown-generator", "bad-trace-colour", "trace-without-bracket", "missing-close",
+            "missing-close-at-end", "trailing-input", "crlf", "first-of-repeated-spelling",
+            "after-repeated-spelling", "seq-type-error", "trace-type-error",
+        ],
+    )
+    def test_exact_location_after_the_first_line(self, src, error, message):
+        with pytest.raises(error) as info:
+            parse(src)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestPrint:
