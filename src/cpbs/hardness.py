@@ -48,16 +48,15 @@ class EulerianGraph:
             if d % 2:
                 raise NotEulerian(f"vertex {v} has odd degree {d}")
         if self.edges:
+            incidence = _incidence(self)
             root = self.edges[0][0]
             reached = {root}
             frontier = [root]
             while frontier:
-                x = frontier.pop()
-                for u, v in self.edges:
-                    for a, b in ((u, v), (v, u)):
-                        if a == x and b not in reached:
-                            reached.add(b)
-                            frontier.append(b)
+                for _, b in incidence[frontier.pop()]:
+                    if b not in reached:
+                        reached.add(b)
+                        frontier.append(b)
             if not reached >= set(degree):
                 raise NotEulerian("graph is disconnected on its non-isolated vertices")
 

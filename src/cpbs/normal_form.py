@@ -56,8 +56,10 @@ class NormalForm:
     lines: tuple[NfLine, ...]  # ordered by source configuration
 
     def __post_init__(self) -> None:
-        assert tuple(l.source for l in self.lines) == tuple(configurations(self.in_type))
-        assert sorted(l.target for l in self.lines) == sorted(configurations(self.out_type))
+        if tuple(l.source for l in self.lines) != tuple(configurations(self.in_type)):
+            raise ValueError("normal-form lines must start at each input configuration in order")
+        if sorted(l.target for l in self.lines) != sorted(configurations(self.out_type)):
+            raise ValueError("normal-form lines must end at each output configuration once")
 
     # -- the five layers, as diagrams ---------------------------------------
 

@@ -1,12 +1,14 @@
 """Matching and applying rewrite rules on netlists.
 
-A rule side compiles to a pattern: nodes to embed injectively, wires
-between them that must be present verbatim, boundary attachments that
-become the legs of the match, pass-through wires (a rule side that is
-just a wire) and bare loops.  Applying a match removes the matched
-region and splices the instantiated other side into the legs with a
-union-find over wire endpoints; endpoint chains that close up with no
-remaining real port become bare loops.
+A rule side compiles to one of two patterns, never a mix.  A node
+pattern has nodes to embed injectively, wires between them that must
+be present verbatim, and boundary attachments that become the legs of
+the match.  A wire pattern has no node, only pass-through wires and
+bare loops, each matched by a distinct host wire or loop of its colour;
+an empty side (the STRUCT rules) matches once.  Applying a match
+removes the matched region and splices the instantiated other side
+into the legs with a union-find over wire endpoints; endpoint chains
+that close up with no remaining real port become bare loops.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class _Pattern:
     nodes: dict[int, Node]
     node_order: tuple[int, ...]
     internal: tuple[tuple[Sink, Source], ...]
+    internal_at: tuple[tuple[tuple[Sink, Source], ...], ...]  # closed by placing node_order[i]
     bound_in: tuple[tuple[int, Sink], ...]      # (bin index, pattern node sink)
     bound_out: tuple[tuple[int, Source], ...]   # (bout index, pattern node source)
     passthrough: tuple[tuple[int, int, Colour], ...]  # (bin, bout, colour)
@@ -50,7 +53,8 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
     """The pattern of the rule side matched in this direction.
 
     Rule sides are constants, so each (rule, direction) is compiled once
-    per process; the shared pattern is read-only.
+    per process; the shared pattern is read-only.  Raises ValueError on
+    a side that has both nodes and pass-through wires or loops.
     """
     pat_term, rep_term = _sides(RULES[rule_id], direction)
     n = to_netlist(pat_term)
@@ -67,12 +71,19 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
             bound_out.append((snk[1], src))
         else:
             passthrough.append((src[1], snk[1], n.in_type[src[1]]))
+    if n.nodes and (passthrough or n.loops):
+        raise ValueError(f"{rule_id} {direction}: a rule side mixes nodes with bare wires or loops")
+    order = tuple(sorted(n.nodes))
     return _Pattern(
         n.in_type,
         n.out_type,
         n.nodes,
-        tuple(sorted(n.nodes)),
+        order,
         tuple(internal),
+        tuple(
+            tuple(w for w in internal if max(order.index(w[0][1]), order.index(w[1][1])) == i)
+            for i in range(len(order))
+        ),
         tuple(sorted(bound_in)),
         tuple(sorted(bound_out)),
         tuple(sorted(passthrough)),
@@ -171,106 +182,87 @@ def _sides(rule: Rule, direction: str) -> tuple[Term, Term]:
 
 
 def find_matches(n: Netlist, rule_id: str, direction: str = "L2R") -> list[RuleInstance]:
-    """All sites where the rule applies, in a deterministic order."""
+    """All sites where the rule applies, in the order of their site keys."""
     pat = _compile(rule_id, direction)
     if pat.invents_words:
         return []
+    out = (_node_matches if pat.nodes else _wire_matches)(n, pat, rule_id, direction)
+    out.sort(key=RuleInstance.site_key)
+    return out
+
+
+def _node_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> list[RuleInstance]:
+    """Injective embeddings of the pattern's nodes that keep its internal wires.
+
+    A wire is checked as soon as both of its nodes are placed; the legs
+    are read from the ports of the matched nodes.
+    """
+    by_kind: dict[str, list[int]] = {}
+    for hn in sorted(n.nodes):
+        by_kind.setdefault(n.nodes[hn].kind, []).append(hn)
     rev = n.sink_of()
+    out: list[RuleInstance] = []
 
-    complete: list[tuple[dict[int, int], dict[str, Word]]] = []
-
-    def backtrack(i: int, node_map: dict[int, int], binding: dict[str, Word]) -> None:
+    def extend(i: int, node_map: dict[int, int], binding: dict[str, Word]) -> None:
         if i == len(pat.node_order):
-            complete.append((node_map, binding))
+            out.append(RuleInstance(
+                rule_id,
+                direction,
+                node_map,
+                {hn: n.nodes[hn].word for hn in node_map.values()},
+                binding,
+                [n.wires[("nin", node_map[snk[1]], snk[2])] for _, snk in pat.bound_in],
+                [rev[("nout", node_map[src[1]], src[2])] for _, src in pat.bound_out],
+            ))
             return
         pn = pat.node_order[i]
-        pnode = pat.nodes[pn]
-        for hn in sorted(n.nodes):
+        for hn in by_kind.get(pat.nodes[pn].kind, ()):
             if hn in node_map.values():
                 continue
-            if n.nodes[hn].kind != pnode.kind:
-                continue
-            for b2 in _match_word(pnode.word, n.nodes[hn].word, binding):
-                ok = True
-                for snk, src in pat.internal:
-                    pn_snk, pn_src = snk[1], src[1]
-                    m2 = {**node_map, pn: hn}
-                    if pn_snk in m2 and pn_src in m2:
-                        if n.wires.get(("nin", m2[pn_snk], snk[2])) != (
-                            "nout",
-                            m2[pn_src],
-                            src[2],
-                        ):
-                            ok = False
-                            break
-                if ok:
-                    backtrack(i + 1, {**node_map, pn: hn}, b2)
+            placed = {**node_map, pn: hn}
+            if all(
+                n.wires.get(("nin", placed[snk[1]], snk[2])) == ("nout", placed[src[1]], src[2])
+                for snk, src in pat.internal_at[i]
+            ):
+                for b2 in _match_word(pat.nodes[pn].word, n.nodes[hn].word, binding):
+                    extend(i + 1, placed, b2)
 
-    backtrack(0, {}, {})
+    extend(0, {}, {})
+    return out
 
+
+def _wire_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> list[RuleInstance]:
+    """Every choice of distinct colour-matched host wires or loops for the
+    pattern's pass-through wires, and of distinct loops for its loops."""
+    wires: dict[Colour, list] = {}
+    for snk, src in sorted(n.wires.items()):
+        wires.setdefault(n.sink_colour(snk), []).append(("wire", snk, src))
+    loops: dict[Colour, list[int]] = {}
+    for i, col in enumerate(n.loops):
+        loops.setdefault(col, []).append(i)
+    pt_candidates = [
+        wires.get(col, []) + [("loop", i) for i in loops.get(col, [])]
+        for _, _, col in pat.passthrough
+    ]
     out: list[RuleInstance] = []
-    seen: set = set()
-    for node_map, binding in complete:
-        mapped = set(node_map.values())
-        node_incident = {
-            snk
-            for snk, src in n.wires.items()
-            if (snk[0] == "nin" and snk[1] in mapped) or (src[0] == "nout" and src[1] in mapped)
-        }
-        # candidate host wires for each pass-through, colour-matched and
-        # disjoint from the wires consumed by the node embedding
-        pt_candidates: list[list] = []
-        for (_, _, col) in pat.passthrough:
-            cands: list = [
-                ("wire", snk, src)
-                for snk, src in sorted(n.wires.items())
-                if snk not in node_incident and n.sink_colour(snk) == col
-            ]
-            cands.extend(("loop", i) for i, c in enumerate(n.loops) if c == col)
-            pt_candidates.append(cands)
-        loop_candidates: list[list[int]] = [
-            [i for i, c in enumerate(n.loops) if c == col] for col in pat.loops
-        ]
-        for pt_choice in itertools.product(*pt_candidates):
-            if len(set(pt_choice)) != len(pt_choice):
+    for pt_choice in itertools.product(*pt_candidates):
+        if len(set(pt_choice)) != len(pt_choice):
+            continue
+        taken_loops = [c[1] for c in pt_choice if c[0] == "loop"]
+        for loop_choice in itertools.product(*(loops.get(col, []) for col in pat.loops)):
+            pool = taken_loops + list(loop_choice)
+            if len(set(pool)) != len(pool):
                 continue
-            taken_loops = {c[1] for c in pt_choice if c[0] == "loop"}
-            for loop_choice in itertools.product(*loop_candidates):
-                pool = list(taken_loops) + list(loop_choice)
-                if len(set(pool)) != len(pool):
-                    continue
-                inst = RuleInstance(rule_id, direction, dict(node_map), {}, dict(binding))
-                inst.node_words = {hn: n.nodes[hn].word for hn in mapped}
-                inst.loop_choices = list(loop_choice)
-                inst.wire_choices = list(pt_choice)
-                in_legs: dict[int, object] = {}
-                out_legs: dict[int, object] = {}
-                for i, snk in pat.bound_in:
-                    in_legs[i] = n.wires[("nin", node_map[snk[1]], snk[2])]
-                for j, src in pat.bound_out:
-                    out_legs[j] = rev[("nout", node_map[src[1]], src[2])]
-                for (i, j, _), choice in zip(pat.passthrough, pt_choice):
-                    if choice[0] == "wire":
-                        in_legs[i] = choice[2]
-                        out_legs[j] = choice[1]
-                    else:
-                        in_legs[i] = ("loopend", choice[1])
-                        out_legs[j] = ("loopend", choice[1])
-                inst.in_legs = [in_legs[i] for i in range(len(pat.in_type))]
-                inst.out_legs = [out_legs[j] for j in range(len(pat.out_type))]
-                key = (
-                    frozenset(mapped),
-                    tuple(inst.in_legs),
-                    tuple(inst.out_legs),
-                    tuple(sorted(binding.items())),
-                    tuple(pt_choice),
-                    tuple(loop_choice),
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(inst)
-    out.sort(key=lambda m: m.site_key())
+            in_legs: list = [None] * len(pat.in_type)
+            out_legs: list = [None] * len(pat.out_type)
+            for (i, j, _), choice in zip(pat.passthrough, pt_choice):
+                if choice[0] == "wire":
+                    in_legs[i], out_legs[j] = choice[2], choice[1]
+                else:
+                    in_legs[i] = out_legs[j] = ("loopend", choice[1])
+            out.append(RuleInstance(
+                rule_id, direction, {}, {}, {}, in_legs, out_legs, list(pt_choice), list(loop_choice)
+            ))
     return out
 
 
@@ -310,9 +302,8 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     for i, snk in pat.bound_in:
         if n.wires.get(("nin", inst.node_map[snk[1]], snk[2])) != inst.in_legs[i]:
             raise StaleInstance("input leg changed")
-    rev = n.sink_of()
     for j, src in pat.bound_out:
-        if rev.get(("nout", inst.node_map[src[1]], src[2])) != inst.out_legs[j]:
+        if n.wires.get(inst.out_legs[j]) != ("nout", inst.node_map[src[1]], src[2]):
             raise StaleInstance("output leg changed")
 
     # --- instantiate the replacement side
@@ -383,7 +374,8 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     for members in uf.classes().values():
         srcs = [m for m in members if is_real_source(m)]
         snks = [m for m in members if is_real_sink(m)]
-        assert len(srcs) <= 1 and len(snks) <= 1, f"splice broke a wire: {members}"
+        if len(srcs) > 1 or len(snks) > 1:
+            raise AssertionError(f"splice broke a wire: {members}")
         if srcs and snks:
             new_wires[snks[0]] = srcs[0]
         elif not srcs and not snks:

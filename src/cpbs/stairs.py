@@ -55,10 +55,12 @@ class Staircase:
     size: int  # number of PBS
 
     def __post_init__(self) -> None:
-        assert self.kind in _KINDS
-        assert self.size >= 0
-        if self.kind in ("red_merge", "red_merge_inverse"):
-            assert self.size >= 1  # the merge or split itself
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown staircase kind {self.kind!r}")
+        # a red merge or its inverse has at least the merge or split itself
+        least = 1 if self.kind in ("red_merge", "red_merge_inverse") else 0
+        if self.size < least:
+            raise ValueError(f"a {self.kind} has at least {least} PBS, not {self.size}")
 
     @property
     def in_type(self) -> WireType:

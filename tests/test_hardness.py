@@ -1,6 +1,7 @@
 """Eulerian orientation, MAX-ECD brute force, and the reduction diagrams."""
 
 import random
+import time
 
 import pytest
 
@@ -66,6 +67,17 @@ class TestGraphs:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(NotEulerian, match="unknown vertex"):
             EulerianGraph(frozenset({"A"}), (("A", "B"), ("B", "A")))
+
+    def test_connectivity_check_is_linear_in_the_edges(self):
+        n = 10_000
+        text = "".join(f"v{i} v{(i + 1) % n}\n" for i in range(n))
+        start = time.perf_counter()
+        g = parse_graph(text)
+        elapsed = time.perf_counter() - start
+        assert g.n == n
+        assert elapsed < 3.0, f"{elapsed:.2f} s to parse a {n}-edge cycle"
+        with pytest.raises(NotEulerian, match="disconnected"):
+            parse_graph(text + "a b\nb a\n")
 
     def test_isolated_vertices_are_fine(self):
         g = EulerianGraph(frozenset({"A", "B", "Z"}), (("A", "B"), ("B", "A")))

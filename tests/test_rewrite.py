@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cpbs import gallery
 from cpbs.errors import DerivationFailed, StaleInstance
 from cpbs.netlist import netlists_isomorphic, to_netlist, to_term
 from cpbs.randgen import random_diagram
 from cpbs.rewrite import (
     _CHAINS,
     ProofStep,
+    RuleInstance,
+    _compile,
     _match_word,
     apply,
     check_soundness,
@@ -21,10 +26,11 @@ from cpbs.rewrite import (
     render_trace,
     replay_derivation,
 )
-from cpbs.rules import ALL_RULE_IDS, RULES, Rule, WVar, _gh, _gv
+from cpbs.rules import ALL_RULE_IDS, RULES, Rule, WVar, _gh, _gv, substitute, word_vars
 from cpbs.semantics import semantics_table, tables_equal
 from cpbs.terms import (
     Colour,
+    Par,
     Trace,
     gate_h,
     gate_t,
@@ -279,3 +285,145 @@ def test_trace_rendering():
     steps = replay_derivation("DER18")
     text = render_trace(steps)
     assert text.startswith("AX2 R2L @ ")
+
+
+# ---------------------------------------------------------------------------
+# the matcher against a reference
+# ---------------------------------------------------------------------------
+
+def _reference_matches(n, rule_id, direction):
+    """The general matcher that find_matches replaced: one backtracking
+    search over nodes, then, per complete node match, a scan for the
+    wires incident to it and every product of pass-through and loop
+    candidates, deduplicated."""
+    pat = _compile(rule_id, direction)
+    if pat.invents_words:
+        return []
+    rev = n.sink_of()
+    complete = []
+
+    def backtrack(i, node_map, binding):
+        if i == len(pat.node_order):
+            complete.append((node_map, binding))
+            return
+        pn = pat.node_order[i]
+        pnode = pat.nodes[pn]
+        for hn in sorted(n.nodes):
+            if hn in node_map.values() or n.nodes[hn].kind != pnode.kind:
+                continue
+            for b2 in _match_word(pnode.word, n.nodes[hn].word, binding):
+                m2 = {**node_map, pn: hn}
+                if all(
+                    n.wires.get(("nin", m2[snk[1]], snk[2])) == ("nout", m2[src[1]], src[2])
+                    for snk, src in pat.internal
+                    if snk[1] in m2 and src[1] in m2
+                ):
+                    backtrack(i + 1, m2, b2)
+
+    backtrack(0, {}, {})
+    out, seen = [], set()
+    for node_map, binding in complete:
+        mapped = set(node_map.values())
+        node_incident = {
+            snk
+            for snk, src in n.wires.items()
+            if (snk[0] == "nin" and snk[1] in mapped) or (src[0] == "nout" and src[1] in mapped)
+        }
+        pt_candidates = [
+            [
+                ("wire", snk, src)
+                for snk, src in sorted(n.wires.items())
+                if snk not in node_incident and n.sink_colour(snk) == col
+            ]
+            + [("loop", i) for i, c in enumerate(n.loops) if c == col]
+            for _, _, col in pat.passthrough
+        ]
+        loop_candidates = [[i for i, c in enumerate(n.loops) if c == col] for col in pat.loops]
+        for pt_choice in itertools.product(*pt_candidates):
+            if len(set(pt_choice)) != len(pt_choice):
+                continue
+            taken_loops = {c[1] for c in pt_choice if c[0] == "loop"}
+            for loop_choice in itertools.product(*loop_candidates):
+                pool = list(taken_loops) + list(loop_choice)
+                if len(set(pool)) != len(pool):
+                    continue
+                in_legs = {i: n.wires[("nin", node_map[snk[1]], snk[2])] for i, snk in pat.bound_in}
+                out_legs = {j: rev[("nout", node_map[src[1]], src[2])] for j, src in pat.bound_out}
+                for (i, j, _), choice in zip(pat.passthrough, pt_choice):
+                    if choice[0] == "wire":
+                        in_legs[i], out_legs[j] = choice[2], choice[1]
+                    else:
+                        in_legs[i] = out_legs[j] = ("loopend", choice[1])
+                inst = RuleInstance(
+                    rule_id,
+                    direction,
+                    dict(node_map),
+                    {hn: n.nodes[hn].word for hn in mapped},
+                    dict(binding),
+                    [in_legs[i] for i in range(len(pat.in_type))],
+                    [out_legs[j] for j in range(len(pat.out_type))],
+                    list(pt_choice),
+                    list(loop_choice),
+                )
+                key = (frozenset(mapped), tuple(inst.in_legs), tuple(inst.out_legs),
+                       tuple(sorted(binding.items())), pt_choice, loop_choice)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(inst)
+    out.sort(key=lambda m: m.site_key())
+    return out
+
+
+GALLERY = (
+    "quantum_switch", "three_query_circuit", "half_switch_traced", "half_switch_lean",
+    "worked_example", "worked_example_query_optimal", "worked_example_pgt",
+    "two_query_pbs_free", "one_query_two_pbs", "repeated_switch", "fused_double_gate",
+)
+
+
+def _cross_check_hosts():
+    hosts = [to_netlist(random_diagram(seed)) for seed in range(60)]
+    hosts += [to_netlist(getattr(gallery, name)()) for name in GALLERY]
+    for rule in RULES.values():
+        vs = {**word_vars(rule.lhs), **word_vars(rule.rhs)}
+        fresh = {nm: tuple(f"k{i}{j}" for j in range(v.exact or max(v.min_len, 1)))
+                 for i, (nm, v) in enumerate(sorted(vs.items()))}
+        shared = {nm: ("s",) * (v.exact or max(v.min_len, 1)) for nm, v in vs.items()}
+        for side in (rule.lhs, rule.rhs):
+            hosts += [to_netlist(substitute(side, b)) for b in (fresh, shared)]
+    return hosts
+
+
+def test_find_matches_agrees_with_the_reference_matcher():
+    hosts = _cross_check_hosts()
+    found = 0
+    for rule_id in ALL_RULE_IDS:
+        for direction in ("L2R", "R2L"):
+            for n in hosts:
+                want = [m.site_key() for m in _reference_matches(n, rule_id, direction)]
+                assert [m.site_key() for m in find_matches(n, rule_id, direction)] == want
+                found += len(want)
+    assert found > 1000
+
+
+def test_a_rule_side_mixing_nodes_and_bare_wires_is_rejected():
+    w = WVar("W")
+    RULES["XX_MIXED"] = Rule("XX_MIXED", Par(_gv(w), ident(Colour.V)), Par(_gv(w), ident(Colour.V)))
+    try:
+        for direction in ("L2R", "R2L"):
+            with pytest.raises(ValueError, match="mixes nodes"):
+                _compile("XX_MIXED", direction)
+    finally:
+        del RULES["XX_MIXED"]
+
+
+def test_fusion_matching_is_quadratic_in_the_gates():
+    # every (gate_v, gate_h) pair is a DER21 site; the matcher must not
+    # rescan the host for each of the k * k sites
+    k = 200
+    n = to_netlist(par(*[gate_v("U")] * k, *[gate_h("U")] * k))
+    start = time.perf_counter()
+    matches = find_matches(n, "DER21", "L2R")
+    elapsed = time.perf_counter() - start
+    assert len(matches) == k * k
+    assert elapsed < 2.0, f"{elapsed:.2f} s for {k * k} sites"

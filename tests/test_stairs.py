@@ -1,9 +1,16 @@
 """Stair synthesis and the PBS lower bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cpbs
 from cpbs import stairs
 from cpbs.errors import HasGates, NotBijective
+from cpbs.normal_form import NfLine, NormalForm
 from cpbs.randgen import random_diagram
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
 from cpbs.stairs import (
@@ -234,3 +241,41 @@ class TestSynthesis:
             assert stair_negs == 0
             total = count_neg(sf.as_term())
             assert total == sum(sf.pre_negs) + sum(sf.post_negs)
+
+
+# constructor calls that must raise ValueError, also with assertions stripped
+INVALID_VALUES = [
+    'Staircase("bogus", 2)',
+    'Staircase("black_ladder", -1)',
+    'Staircase("red_merge", 0)',
+    'Staircase("red_merge_inverse", 0)',
+    "NormalForm((T,), (T,), ())",
+    "NormalForm((V,), (V,), (NfLine((V, 0), (V, 0), ()), NfLine((V, 0), (V, 0), ())))",
+    "NormalForm((T,), (T,), (NfLine((V, 0), (V, 0), ()), NfLine((H, 0), (V, 0), ())))",
+]
+
+
+def test_invalid_staircases_and_normal_forms_raise_under_optimisation():
+    script = (
+        "from cpbs.normal_form import NfLine, NormalForm\n"
+        "from cpbs.stairs import Staircase\n"
+        "from cpbs.terms import Colour\n"
+        "T, V, H = Colour.T, Colour.V, Colour.H\n"
+        f"for case in {INVALID_VALUES!r}:\n"
+        "    try:\n"
+        "        print(eval(case).as_term())\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(cpbs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    lines = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    want = []
+    for case in INVALID_VALUES:
+        with pytest.raises(ValueError) as e:
+            eval(case)
+        want.append(str(e.value))
+    assert lines == want
