@@ -6,9 +6,11 @@ be present verbatim, and boundary attachments that become the legs of
 the match.  A wire pattern has no node, only pass-through wires and
 bare loops, each matched by a distinct host wire or loop of its colour;
 an empty side (the STRUCT rules) matches once.  Applying a match
-removes the matched region and splices the instantiated other side
-into the legs with a union-find over wire endpoints; endpoint chains
-that close up with no remaining real port become bare loops.
+removes the matched nodes and writes the instantiated other side's
+wires onto the legs: input slot i reads in_legs[i], output slot j feeds
+out_legs[j].  Where the host runs output j straight back into input i,
+the splice follows the replacement's wire into j; a chain of such
+slots that closes up becomes a bare loop.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DerivationFailed, StaleInstance
-from .netlist import Netlist, Node, UnionFind, netlists_isomorphic, to_netlist
+from .netlist import Netlist, Node, netlists_isomorphic, to_netlist
 from .rules import RULES, Rule, WVar, substitute, word_vars
 from .semantics import semantics_table, tables_equal
 from .terms import Colour, Term, Word, type_of
@@ -306,91 +308,56 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
         if n.wires.get(inst.out_legs[j]) != ("nout", inst.node_map[src[1]], src[2]):
             raise StaleInstance("output leg changed")
 
-    # --- instantiate the replacement side
+    # --- splice the replacement onto the legs
     rep = to_netlist(substitute(rep_term, inst.bindings))
-    removed = set(inst.node_map.values())
     base = max(n.nodes, default=-1) + 1
-    rename = {old: base + i for i, old in enumerate(sorted(rep.nodes))}
-
-    def ren_src(src: Source):
-        if src[0] == "bin":
-            return ("IN", src[1])
-        return ("nout", rename[src[1]], src[2])
-
-    def ren_snk(snk: Sink):
-        if snk[0] == "bout":
-            return ("OUT", snk[1])
-        return ("nin", rename[snk[1]], snk[2])
-
-    internal_host = {
-        ("nin", inst.node_map[snk[1]], snk[2]) for snk, _ in pat.internal
-    }
-    pt_wires = {c[1] for c in inst.wire_choices if c[0] == "wire"}
-    consumed_loops = sorted(
-        {c[1] for c in inst.wire_choices if c[0] == "loop"} | set(inst.loop_choices),
-        reverse=True,
-    )
-
-    uf = UnionFind()
-    colour_hint: dict = {}
+    new_nodes = dict(n.nodes)
     new_wires = dict(n.wires)
-    for snk, src in n.wires.items():
-        incident = (snk[0] == "nin" and snk[1] in removed) or (
-            src[0] == "nout" and src[1] in removed
-        )
-        if snk in pt_wires:
+    # the wires into the matched nodes go; every other wire the site
+    # takes ends at an out-leg, which the splice rewrites
+    for hn in inst.node_map.values():
+        del new_nodes[hn]
+        for snk in n.node_sinks(hn):
             del new_wires[snk]
-        elif incident:
-            del new_wires[snk]
-            if snk not in internal_host:
-                # a wire crossing the boundary of the site persists as a
-                # connection between whatever it linked
-                uf.union(snk, src)
-                colour_hint[snk] = n.sink_colour(snk)
-    for i, leg in enumerate(inst.in_legs):
-        uf.union(("IN", i), leg)
-        colour_hint[("IN", i)] = pat.in_type[i]
-    for j, leg in enumerate(inst.out_legs):
-        uf.union(("OUT", j), leg)
-        colour_hint[("OUT", j)] = pat.out_type[j]
+    for k, node in rep.nodes.items():
+        new_nodes[base + k] = node
+
+    # back[i] = j: the host runs output slot j straight into input slot i,
+    # through a matched loop or a wire from one site port to another
+    site_out = {("nout", inst.node_map[src[1]], src[2]): j for j, src in pat.bound_out}
+    back = {i: j for i, j, _ in pat.passthrough if inst.in_legs[i][0] == "loopend"}
+    back.update((i, site_out[leg]) for i, leg in enumerate(inst.in_legs) if leg in site_out)
+    fed = set(back.values())
+    unreached = set(fed)
+
+    def source(src: Source) -> Source:
+        while src[0] == "bin" and src[1] in back:
+            unreached.discard(back[src[1]])
+            src = rep.wires[("bout", back[src[1]])]
+        if src[0] == "nout":
+            return ("nout", base + src[1], src[2])
+        leg = inst.in_legs[src[1]]
+        if leg[0] == "loopend" or (leg[0] == "nout" and leg[1] in inst.node_map.values()):
+            raise AssertionError(f"splice under {inst.rule} ran into the site's port {leg}")
+        return leg
+
     for snk, src in rep.wires.items():
-        uf.union(ren_snk(snk), ren_src(src))
+        if snk[0] == "nin":
+            new_wires[("nin", base + snk[1], snk[2])] = source(src)
+        elif snk[1] not in fed:
+            new_wires[inst.out_legs[snk[1]]] = source(src)
 
-    new_nodes = {hn: node for hn, node in n.nodes.items() if hn not in removed}
-    for old, node in rep.nodes.items():
-        new_nodes[rename[old]] = node
+    consumed = {c[1] for c in inst.wire_choices if c[0] == "loop"} | set(inst.loop_choices)
+    new_loops = [c for k, c in enumerate(n.loops) if k not in consumed] + list(rep.loops)
+    # a chain of fed-back slots that no wire reaches closes on itself
+    while unreached:
+        j = unreached.pop()
+        new_loops.append(pat.out_type[j])
+        while (j := back[rep.wires[("bout", j)][1]]) in unreached:
+            unreached.remove(j)
 
-    def is_real_source(x) -> bool:
-        return x[0] == "bin" or (x[0] == "nout" and x[1] in new_nodes)
-
-    def is_real_sink(x) -> bool:
-        return x[0] == "bout" or (x[0] == "nin" and x[1] in new_nodes)
-
-    new_loops = list(n.loops)
-    for i in consumed_loops:
-        del new_loops[i]
-    new_loops.extend(rep.loops)
-
-    for members in uf.classes().values():
-        srcs = [m for m in members if is_real_source(m)]
-        snks = [m for m in members if is_real_sink(m)]
-        if len(srcs) > 1 or len(snks) > 1:
-            raise AssertionError(f"splice broke a wire: {members}")
-        if srcs and snks:
-            new_wires[snks[0]] = srcs[0]
-        elif not srcs and not snks:
-            col = next(colour_hint[m] for m in members if m in colour_hint)
-            new_loops.append(col)
-        else:
-            raise AssertionError(f"dangling splice: {members}")
-
-    return Netlist(
-        n.in_type,
-        n.out_type,
-        new_nodes,
-        new_wires,
-        tuple(sorted(new_loops, key=lambda c: c.value)),
-    )
+    loops = tuple(sorted(new_loops, key=lambda c: c.value))
+    return Netlist(n.in_type, n.out_type, new_nodes, new_wires, loops)
 
 
 # ---------------------------------------------------------------------------

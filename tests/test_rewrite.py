@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from cpbs import gallery
 from cpbs.errors import DerivationFailed, StaleInstance
-from cpbs.netlist import netlists_isomorphic, to_netlist, to_term
+from cpbs.netlist import Netlist, UnionFind, netlists_isomorphic, to_netlist, to_term
 from cpbs.randgen import random_diagram
 from cpbs.rewrite import (
     _CHAINS,
     ProofStep,
     RuleInstance,
     _compile,
+    _sides,
     _match_word,
     apply,
     check_soundness,
@@ -427,3 +428,118 @@ def test_fusion_matching_is_quadratic_in_the_gates():
     elapsed = time.perf_counter() - start
     assert len(matches) == k * k
     assert elapsed < 2.0, f"{elapsed:.2f} s for {k * k} sites"
+
+
+# ---------------------------------------------------------------------------
+# the splice against a reference
+# ---------------------------------------------------------------------------
+
+def _reference_apply(n, inst):
+    """The splice that apply replaced: a union-find over every host wire
+    incident to the site, the legs and the replacement's wires, each
+    class becoming one wire or one loop.  Returns the netlist and the
+    number of loops it closed from the replacement's wires and the legs."""
+    _, rep_term = _sides(RULES[inst.rule], inst.direction)
+    pat = _compile(inst.rule, inst.direction)
+    rep = to_netlist(substitute(rep_term, inst.bindings))
+    removed = set(inst.node_map.values())
+    base = max(n.nodes, default=-1) + 1
+    rename = {old: base + i for i, old in enumerate(sorted(rep.nodes))}
+
+    def ren_src(src):
+        return ("IN", src[1]) if src[0] == "bin" else ("nout", rename[src[1]], src[2])
+
+    def ren_snk(snk):
+        return ("OUT", snk[1]) if snk[0] == "bout" else ("nin", rename[snk[1]], snk[2])
+
+    internal_host = {("nin", inst.node_map[snk[1]], snk[2]) for snk, _ in pat.internal}
+    pt_wires = {c[1] for c in inst.wire_choices if c[0] == "wire"}
+    consumed_loops = sorted(
+        {c[1] for c in inst.wire_choices if c[0] == "loop"} | set(inst.loop_choices), reverse=True
+    )
+    uf = UnionFind()
+    colour_hint = {}
+    new_wires = dict(n.wires)
+    for snk, src in n.wires.items():
+        incident = (snk[0] == "nin" and snk[1] in removed) or (src[0] == "nout" and src[1] in removed)
+        if snk in pt_wires:
+            del new_wires[snk]
+        elif incident:
+            del new_wires[snk]
+            if snk not in internal_host:
+                uf.union(snk, src)
+                colour_hint[snk] = n.sink_colour(snk)
+    for i, leg in enumerate(inst.in_legs):
+        uf.union(("IN", i), leg)
+        colour_hint[("IN", i)] = pat.in_type[i]
+    for j, leg in enumerate(inst.out_legs):
+        uf.union(("OUT", j), leg)
+        colour_hint[("OUT", j)] = pat.out_type[j]
+    for snk, src in rep.wires.items():
+        uf.union(ren_snk(snk), ren_src(src))
+
+    new_nodes = {hn: node for hn, node in n.nodes.items() if hn not in removed}
+    for old, node in rep.nodes.items():
+        new_nodes[rename[old]] = node
+    new_loops = list(n.loops)
+    for i in consumed_loops:
+        del new_loops[i]
+    new_loops.extend(rep.loops)
+    closed = 0
+    for members in uf.classes().values():
+        srcs = [m for m in members if m[0] == "bin" or (m[0] == "nout" and m[1] in new_nodes)]
+        snks = [m for m in members if m[0] == "bout" or (m[0] == "nin" and m[1] in new_nodes)]
+        assert len(srcs) <= 1 and len(snks) <= 1 and len(srcs) == len(snks), members
+        if srcs:
+            new_wires[snks[0]] = srcs[0]
+        else:
+            new_loops.append(next(colour_hint[m] for m in members if m in colour_hint))
+            closed += 1
+    loops = tuple(sorted(new_loops, key=lambda c: c.value))
+    return Netlist(n.in_type, n.out_type, new_nodes, new_wires, loops), closed
+
+
+def _fed_back(inst):
+    """Whether some input leg is one of the site's own ports or a matched loop."""
+    site = set(inst.node_map.values())
+    return any(leg[0] == "loopend" or (leg[0] == "nout" and leg[1] in site) for leg in inst.in_legs)
+
+
+def test_apply_agrees_with_the_reference_splice():
+    hosts = _cross_check_hosts() + [
+        to_netlist(t)
+        for t in (
+            Trace(Colour.V, seq(gate_v("U"), gate_v("W"))),  # AX2 with its output fed back
+            Trace(Colour.V, gate_v()),  # AX1 L2R closes the fed-back wire into a loop
+            Trace(Colour.V, ident(Colour.V)),  # a bare loop under AX1 / APPE38 R2L
+            par(Trace(Colour.V, ident(Colour.V)), Trace(Colour.H, ident(Colour.H))),
+            Trace(Colour.T, seq(split_vh(), merge_vh())),
+        )
+    ]
+    applied = fed = closed = 0
+    for rule_id in ALL_RULE_IDS:
+        for direction in ("L2R", "R2L"):
+            for n in hosts:
+                for inst in find_matches(n, rule_id, direction):
+                    want, k = _reference_apply(n, inst)
+                    got = apply(n, inst)
+                    assert (got.nodes, got.wires, got.loops) == (want.nodes, want.wires, want.loops)
+                    applied += 1
+                    fed += _fed_back(inst)
+                    closed += k > 0
+    assert applied > 5000 and fed > 0 and closed > 0, (applied, fed, closed)
+
+
+def test_a_step_costs_its_site_not_the_host():
+    # the site comes from a one-chain host, whose legs are the boundary
+    # ports ("bin", 0) and ("bout", 0) of the wide host as well
+    k = 10_000
+    (inst,) = find_matches(to_netlist(seq(gate_v("U"), gate_v("W"))), "AX2", "L2R")
+    n = to_netlist(par(*[seq(gate_v("U"), gate_v("W"))] * k))
+    assert inst.in_legs == [("bin", 0)] and inst.out_legs == [("bout", 0)]
+    start = time.perf_counter()
+    for _ in range(200):
+        out = apply(n, inst)
+    elapsed = time.perf_counter() - start
+    assert len(out.nodes) == 2 * k - 1 and out.wires[("bout", 0)] == ("nout", 2 * k, 0)
+    assert elapsed < 1.0, f"{elapsed:.2f} s for 200 steps on {k} chains"
