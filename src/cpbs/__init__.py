@@ -53,7 +53,7 @@ from .terms import (
     swap,
     type_of,
 )
-from .netlist import Netlist, Node, netlists_isomorphic, to_netlist, to_term
+from .netlist import Netlist, netlists_isomorphic, to_netlist, to_term
 from .semantics import (
     Configuration,
     SemanticsTable,

@@ -1,9 +1,9 @@
 """Wire-level form of a diagram.
 
 A netlist forgets the syntactic bracketing of a term and keeps only
-what is drawn: boxes (generator occurrences), wires between ports, and
-closed loops carrying no box at all.  Identities, swaps, wire
-permutations and traces dissolve into the wiring.
+what is drawn: boxes (the term's own ``Gen`` leaves), wires between
+ports, and closed loops carrying no box at all.  Identities, swaps,
+wire permutations and traces dissolve into the wiring.
 
 Ports are addressed by tuples.  Wire sources are ``("bin", i)`` (the
 i-th diagram input) or ``("nout", n, k)`` (output k of node n); wire
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 from .terms import (
     Colour,
@@ -24,7 +23,6 @@ from .terms import (
     Term,
     Trace,
     WireType,
-    Word,
     _FIXED_TYPES,
     fold,
     identity_of,
@@ -40,20 +38,11 @@ Source = tuple
 Sink = tuple
 
 
-class Node(NamedTuple):
-    kind: str
-    word: Word = ()
-
-
-def node_signature(node: Node) -> tuple[WireType, WireType]:
-    return _FIXED_TYPES[node.kind]
-
-
 @dataclass
 class Netlist:
     in_type: WireType
     out_type: WireType
-    nodes: dict[int, Node] = field(default_factory=dict)
+    nodes: dict[int, Gen] = field(default_factory=dict)
     wires: dict[Sink, Source] = field(default_factory=dict)
     loops: tuple[Colour, ...] = ()
 
@@ -63,18 +52,18 @@ class Netlist:
     def source_colour(self, src: Source) -> Colour:
         if src[0] == "bin":
             return self.in_type[src[1]]
-        return node_signature(self.nodes[src[1]])[1][src[2]]
+        return self.nodes[src[1]].signature()[1][src[2]]
 
     def sink_colour(self, snk: Sink) -> Colour:
         if snk[0] == "bout":
             return self.out_type[snk[1]]
-        return node_signature(self.nodes[snk[1]])[0][snk[2]]
+        return self.nodes[snk[1]].signature()[0][snk[2]]
 
     def node_sinks(self, n: int) -> list[Sink]:
-        return [("nin", n, k) for k in range(len(node_signature(self.nodes[n])[0]))]
+        return [("nin", n, k) for k in range(len(self.nodes[n].signature()[0]))]
 
     def node_sources(self, n: int) -> list[Source]:
-        return [("nout", n, k) for k in range(len(node_signature(self.nodes[n])[1]))]
+        return [("nout", n, k) for k in range(len(self.nodes[n].signature()[1]))]
 
 
 class UnionFind:
@@ -112,20 +101,21 @@ class UnionFind:
 def to_netlist(d: Term) -> Netlist:
     """Elaborate a well-typed term into its netlist, numbering nodes in leaf order.
 
-    One fold types and wires the term.  Wire ends are integers: a
-    node's ports, one point per wire of an id, swap or perm, and the
-    boundary ports.  A part's value is its lists of ends for incoming
-    and outgoing wires; ``;`` joins the ends that meet, once their
-    colours agree, and a trace joins its last two.  Each class of
-    joined ends is one wire, or a loop if no port is in it; wires are
-    listed in the order of their classes' first ends.  On a type error
-    the message comes from type_of.
+    Node n is the n-th leaf of d that is not an id, swap or perm: the
+    ``Gen`` object itself, not a copy.  One fold types and wires the
+    term.  Wire ends are integers: a node's ports, one point per wire
+    of an id, swap or perm, and the boundary ports.  A part's value is
+    its lists of ends for incoming and outgoing wires; ``;`` joins the
+    ends that meet, once their colours agree, and a trace joins its
+    last two.  Each class of joined ends is one wire, or a loop if no
+    port is in it; wires are listed in the order of their classes'
+    first ends.  On a type error the message comes from type_of.
     """
     parent: list[int] = []  # union-find over ends; a class's root is its first end
     colour: list[Colour] = []  # the colour of each end
     sources: dict[int, Source] = {}  # the port at each node or boundary end
     sinks: dict[int, Sink] = {}
-    nodes: dict[int, Node] = {}
+    nodes: dict[int, Gen] = {}
 
     def mismatch():
         type_of(d)  # raises the TypeError naming where the types meet
@@ -157,7 +147,7 @@ def to_netlist(d: Term) -> Netlist:
                 outs[s] = v
             return ins, outs
         n = len(nodes)
-        nodes[n] = Node(t.kind, t.word)
+        nodes[n] = t
         ta, tb = _FIXED_TYPES[t.kind]
         mid = e + len(ta)
         ins, outs = list(range(e, mid)), list(range(mid, mid + len(tb)))
@@ -343,7 +333,8 @@ def to_term(n: Netlist) -> Term:
     order of readiness: a box is ready once every box feeding it is
     emitted, and a heap yields the least ready node id, so each step
     costs the frontier's width and not a scan of every box left.
-    Round-trips with to_netlist up to isomorphism.
+    Each box is emitted as the ``Gen`` stored at its node.  Round-trips
+    with to_netlist up to isomorphism.
     """
     cuts = _back_wires(n)
     wires = dict(n.wires)
@@ -401,8 +392,7 @@ def to_term(n: Netlist) -> Term:
         layers.extend(swap_layers(colours_of(frontier), [at[s] for s in frontier]))
         frontier = new_front
 
-        node = n.nodes[nid]
-        layers.append(layer(colours_of(frontier), dest, Gen(node.kind, node.word)))
+        layers.append(layer(colours_of(frontier), dest, n.nodes[nid]))
         outs = n.node_sources(nid)
         frontier = frontier[:dest] + outs + frontier[dest + len(srcs) :]
         del pending[nid]

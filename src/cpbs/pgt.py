@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotFound, NotQueryOptimal, PreconditionViolated
-from .netlist import Netlist, Node, node_signature, to_netlist
+from .netlist import Netlist, to_netlist
 from .query_opt import is_query_optimal, query_lower_bounds
 from .semantics import SemanticsTable, chase, semantics_table, tables_equal
 from .stairs import StairForm, synthesize_stair_form
@@ -136,7 +136,7 @@ def is_query_pbs_optimal_single(d: Term) -> bool:
 # brute-force minimum
 # ---------------------------------------------------------------------------
 
-def _gate_options(bounds: dict[str, int]) -> list[tuple[Node, ...]]:
+def _gate_options(bounds: dict[str, int]) -> list[tuple[Gen, ...]]:
     """All gate multisets whose letter counts hit the bounds exactly."""
     letters: list[str] = []
     for u in sorted(bounds):
@@ -151,14 +151,14 @@ def _gate_options(bounds: dict[str, int]) -> list[tuple[Node, ...]]:
                     start = i
             words.append(perm[start:])
             word_splits.add(tuple(sorted(w for w in words if w)))
-    options: set[tuple[Node, ...]] = set()
+    options: set[tuple[tuple[str, Word], ...]] = set()  # (kind, word) per gate
     for words in word_splits:
         for kinds in itertools.product(sorted(GATE_KINDS), repeat=len(words)):
-            options.add(tuple(sorted(map(Node, kinds, words))))
-    return sorted(options)
+            options.add(tuple(sorted(zip(kinds, words))))
+    return [tuple(itertools.starmap(Gen, o)) for o in sorted(options)]
 
 
-def _realises(t: SemanticsTable, nodes: list[Node]) -> bool:
+def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
     """Search for a wiring of the given nodes whose table equals t.
 
     Wires are laid down lazily, driven by chasing one input photon at a
@@ -174,7 +174,7 @@ def _realises(t: SemanticsTable, nodes: list[Node]) -> bool:
     for q, c in enumerate(t.out_type):
         snk_colour[("bout", q)] = c
     for i, node in enumerate(nodes):
-        ins, outs = node_signature(node)
+        ins, outs = node.signature()
         for k, c in enumerate(ins):
             snk_colour[("nin", i, k)] = c
         for k, c in enumerate(outs):
@@ -183,6 +183,7 @@ def _realises(t: SemanticsTable, nodes: list[Node]) -> bool:
     wiring: dict[tuple, tuple] = {}
     used_sinks: set[tuple] = set()
     touched = [0] * len(nodes)
+    first = [nodes.index(node) for node in nodes]  # the least index of an equal box
     starts = [(cfg, t.entries[cfg]) for cfg in configurations(t.in_type)]
     all_sinks = sorted(snk_colour)
 
@@ -192,7 +193,7 @@ def _realises(t: SemanticsTable, nodes: list[Node]) -> bool:
             if snk in used_sinks or snk_colour[snk] != colour:
                 continue
             if snk[0] == "nin" and not touched[snk[1]]:
-                key = nodes[snk[1]]
+                key = first[snk[1]]
                 if key in seen_fresh:
                     continue
                 seen_fresh.add(key)
@@ -254,17 +255,17 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     neg_sets = [
         negs
         for nn in range(neg_budget + 1)
-        for negs in itertools.combinations_with_replacement(map(Node, sorted(NEG_KINDS)), nn)
+        for negs in itertools.combinations_with_replacement(map(Gen, sorted(NEG_KINDS)), nn)
     ]
     for n_pbs in range(max_pbs + 1):
-        for pbs in itertools.combinations_with_replacement(map(Node, sorted(PBS_KINDS)), n_pbs):
+        for pbs in itertools.combinations_with_replacement(map(Gen, sorted(PBS_KINDS)), n_pbs):
             for negs in neg_sets:
                 for gates in gate_sets:
                     nodes = [*pbs, *negs, *gates]
                     src_count = Counter(t.in_type)
                     snk_count = Counter(t.out_type)
                     for node in nodes:
-                        ins, outs = node_signature(node)
+                        ins, outs = node.signature()
                         src_count.update(outs)
                         snk_count.update(ins)
                     if src_count != snk_count:

@@ -116,35 +116,31 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
         if len(steps) > budget:
             raise AssertionError("rule budget exceeded")
 
-    # cut every multi-letter gate into single letters
-    progress = True
-    while progress:
-        progress = False
+    # cut every multi-letter gate into single letters, by the first rule that matches
+    while True:
         for rule_id in _SPLIT_RULES:
             matches = find_matches(n, rule_id, "L2R")
             if matches:
                 take(rule_id, matches[0])
-                progress = True
                 break
-
-    # fuse equal-letter pairs of coloured gates into single black gates
-    while True:
-        by_label: dict[Word, list[int]] = {}
-        for word, i in _nonblack_gates(n):
-            by_label.setdefault(word, []).append(i)
-        pair = next(
-            (ids[:2] for _, ids in sorted(by_label.items()) if len(ids) >= 2), None
-        )
-        if pair is None:
+        else:
             break
-        n1, n2 = pair
-        rule_id = _MERGE_RULE[(n.nodes[n1].kind, n.nodes[n2].kind)]
-        matches = [
-            m
-            for m in find_matches(n, rule_id, "L2R")
-            if set(m.node_map.values()) == {n1, n2}
-        ]
-        take(rule_id, matches[0])
+
+    # fuse equal-letter pairs of coloured gates into single black gates, word
+    # by word and two ids at a time: a fusion adds no coloured gate and
+    # renumbers no other node, so the plan made here stays exact
+    by_label: dict[Word, list[int]] = {}
+    for word, i in _nonblack_gates(n):
+        by_label.setdefault(word, []).append(i)
+    for ids in by_label.values():
+        for n1, n2 in zip(ids[::2], ids[1::2]):
+            rule_id = _MERGE_RULE[(n.nodes[n1].kind, n.nodes[n2].kind)]
+            matches = [
+                m
+                for m in find_matches(n, rule_id, "L2R")
+                if set(m.node_map.values()) == {n1, n2}
+            ]
+            take(rule_id, matches[0])
 
     labels = [w for w, _ in _nonblack_gates(n)]
     if len(labels) != len(set(labels)) or any(len(w) != 1 for w in labels):

@@ -22,10 +22,10 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DerivationFailed, StaleInstance
-from .netlist import Netlist, Node, netlists_isomorphic, to_netlist
+from .netlist import Netlist, netlists_isomorphic, to_netlist
 from .rules import RULES, Rule, WVar, substitute, word_vars
 from .semantics import semantics_table, tables_equal
-from .terms import Colour, Term, Word, type_of
+from .terms import Colour, Gen, Term, Word, type_of
 
 Sink = tuple
 Source = tuple
@@ -39,7 +39,7 @@ Source = tuple
 class _Pattern:
     in_type: tuple[Colour, ...]
     out_type: tuple[Colour, ...]
-    nodes: dict[int, Node]
+    nodes: dict[int, Gen]
     node_order: tuple[int, ...]
     internal: tuple[tuple[Sink, Source], ...]
     internal_at: tuple[tuple[tuple[Sink, Source], ...], ...]  # closed by placing node_order[i]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Container, Mapping, Sequence
 
 from .errors import InvalidConfiguration, NonTermination
-from .netlist import Netlist, Node, Sink, Source, to_netlist
-from .terms import Colour, Configuration, GATE_KINDS, Term, WireType, Word, configurations
+from .netlist import Netlist, Sink, Source, to_netlist
+from .terms import Colour, Configuration, GATE_KINDS, Gen, Term, WireType, Word, configurations
 
 V, H = Colour.V, Colour.H
 
@@ -53,7 +53,7 @@ def _coerce(n: Netlist | Term) -> Netlist:
 
 def chase(
     sink_at: Mapping[Source, Sink],
-    nodes: Mapping[int, Node] | Sequence[Node],
+    nodes: Mapping[int, Gen] | Sequence[Gen],
     src: Source,
     pol: Colour,
     stop: Container[int] = (),

@@ -28,7 +28,6 @@ ignored.  An empty source denotes the empty diagram.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .terms import (
     _GATE_COLOUR,
@@ -73,24 +72,8 @@ _UNKNOWN_VARIANT = {
 _TOKEN_RE = re.compile(r"[A-Za-z]+(?:\[[^\]\[]*\])?|[;|()]|\S")
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    """The tokens of src with their positions: the one place positions come from."""
-    out = []
-    for lineno, raw in enumerate(src.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            out.append(_Token(m.group(0), lineno, m.start() + 1))
-    return out
-
-
 def _token_texts(src: str) -> list[str]:
-    """The texts of _tokenize(src), in the same order, with no positions."""
+    """The tokens of src as plain strings, found line by line with comments cut off."""
     find = _TOKEN_RE.findall
     out: list[str] = []
     for raw in src.splitlines():
@@ -99,10 +82,13 @@ def _token_texts(src: str) -> list[str]:
 
 
 def _located(src: str, i: int, why: str, error: type = SyntaxError) -> Exception:
-    """error(why) placed at the i-th token of src, or at the end of input past the last."""
-    tokens = _tokenize(src)
-    where = f"line {tokens[i].line} col {tokens[i].col}" if i < len(tokens) else "end of input"
-    return error(f"{where}: {why}")
+    """error(why) at the i-th token that _token_texts's scan finds, or at the end of input."""
+    for lineno, raw in enumerate(src.splitlines(), 1):
+        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+            if not i:
+                return error(f"line {lineno} col {m.start() + 1}: {why}")
+            i -= 1
+    return error(f"end of input: {why}")
 
 
 def _colour(text: str) -> Colour:
@@ -178,8 +164,8 @@ def parse(src: str) -> Term:
 
     The tokens are plain strings, found line by line with comments cut
     off.  Positions are not tracked: an error names the index of its
-    token, and only then is ``line L col C`` looked up, in
-    ``_tokenize(src)``, which finds the same tokens in the same order.
+    token, and only then does ``_located`` rescan the lines for that
+    token's ``line L col C``.
     Each distinct generator spelling is validated, built and typed once
     per call, and every later occurrence shares that frozen ``Gen``.
 

@@ -6,13 +6,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cpbs
 from cpbs import gallery
-from cpbs.netlist import Netlist, Node, UnionFind, _back_wires, netlists_isomorphic, to_netlist, to_term
+from cpbs.netlist import Netlist, UnionFind, _back_wires, netlists_isomorphic, to_netlist, to_term
 from cpbs.normal_form import normalize
 from cpbs.randgen import random_diagram
 from cpbs.rules import RULES
@@ -26,6 +27,7 @@ from cpbs.terms import (
     Term,
     Trace,
     fold,
+    generators,
     gate_t,
     gate_v,
     gate_h,
@@ -43,6 +45,7 @@ from cpbs.terms import (
     swap,
     type_of,
 )
+from cpbs.textform import parse, print_term
 
 T, V, H = Colour.T, Colour.V, Colour.H
 
@@ -113,13 +116,27 @@ def test_nodes_numbered_in_left_to_right_leaf_order():
     )
     n = to_netlist(d)
     assert [n.nodes[i] for i in range(len(n.nodes))] == [
-        Node("gate_t", ("A",)),
-        Node("gate_t", ("B",)),
-        Node("gate_t", ("C",)),
-        Node("neg_t"),
-        Node("pbs4"),
-        Node("gate_t", ("D",)),
+        Gen("gate_t", ("A",)),
+        Gen("gate_t", ("B",)),
+        Gen("gate_t", ("C",)),
+        Gen("neg_t"),
+        Gen("pbs4"),
+        Gen("gate_t", ("D",)),
     ]
+
+
+def test_boxes_are_the_terms_own_generators():
+    named = [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
+             if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+    drawn = [random_diagram(s, max_generators=24, max_wires=5) for s in range(50)]
+    # parsed text shares one Gen among equal spellings, so a box object can recur
+    for k, d in enumerate(named + [parse(print_term(x)) for x in named] + drawn):
+        leaves = [g for g in generators(d) if g.kind not in STRUCT_KINDS]
+        n = to_netlist(d)
+        assert len(n.nodes) == len(leaves), f"term {k}"
+        assert all(n.nodes[i] is g for i, g in enumerate(leaves)), f"term {k}"
+        back = [g for g in generators(to_term(n)) if g.kind not in STRUCT_KINDS]
+        assert Counter(map(id, back)) == Counter(map(id, leaves)), f"term {k}"
 
 
 def test_bracketing_irrelevant():
@@ -198,7 +215,7 @@ def _reworded(n: Netlist, rng: random.Random) -> Netlist | None:
         return None
     u = rng.choice(gates)
     nodes = dict(n.nodes)
-    nodes[u] = Node(nodes[u].kind, tuple(rng.choice("UVW") for _ in range(rng.randint(0, 2))))
+    nodes[u] = Gen(nodes[u].kind, tuple(rng.choice("UVW") for _ in range(rng.randint(0, 2))))
     return Netlist(n.in_type, n.out_type, nodes, dict(n.wires), n.loops)
 
 
@@ -261,8 +278,8 @@ def test_roundtrip_random():
 def test_handbuilt_netlist_roundtrip():
     # a feedback cycle built directly, no term in sight
     n = Netlist(in_type=(T,), out_type=(T,))
-    n.nodes[0] = Node("pbs4")
-    n.nodes[1] = Node("gate_t", ("U",))
+    n.nodes[0] = Gen("pbs4")
+    n.nodes[1] = Gen("gate_t", ("U",))
     n.wires[("nin", 0, 0)] = ("bin", 0)
     n.wires[("nin", 1, 0)] = ("nout", 0, 1)
     n.wires[("nin", 0, 1)] = ("nout", 1, 0)
@@ -280,7 +297,7 @@ def _reference_netlist(d: Term) -> Netlist:
     """A two-pass elaboration: type_of, then a fold joining port tuples in a dict union-find."""
     a, b = type_of(d)
     uf = UnionFind()
-    nodes: dict[int, Node] = {}
+    nodes: dict[int, Gen] = {}
     virtual_colour: dict = {}
 
     def fresh_virtual(c):
@@ -297,7 +314,7 @@ def _reference_netlist(d: Term) -> Netlist:
                 outs[s] = v
             return vs, outs
         n = len(nodes)
-        nodes[n] = Node(t.kind, t.word)
+        nodes[n] = Gen(t.kind, t.word)
         ta, tb = t.signature()
         ins = [("nin", n, k) for k in range(len(ta))]
         outs = [("nout", n, k) for k in range(len(tb))]

@@ -23,6 +23,7 @@ from cpbs.randgen import random_diagram
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
 from cpbs.terms import (
     Colour,
+    Gen,
     Trace,
     configurations,
     count_pbs,
@@ -254,10 +255,10 @@ class TestBruteForce:
 
     def test_gate_options_cover_fused_and_separate_words(self):
         opts = _gate_options({"U": 2})
-        assert (("gate_t", ("U", "U")),) in opts
-        assert (("gate_t", ("U",)), ("gate_t", ("U",))) in opts
+        assert (Gen("gate_t", ("U", "U")),) in opts
+        assert (Gen("gate_t", ("U",)), Gen("gate_t", ("U",))) in opts
         opts = _gate_options({"U": 1, "V": 1})
-        words = {tuple(w for _, w in o) for o in opts}
+        words = {tuple(g.word for g in o) for o in opts}
         assert (("U", "V"),) in words or (("U",), ("V",)) in words
 
     def test_matches_stair_bound_on_random_gate_free_tables(self):

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from cpbs import gallery
+from cpbs.netlist import to_netlist, to_term
+from cpbs.normal_form import normalize
 from cpbs.query_opt import (
     QueryProfile,
     is_query_optimal,
@@ -13,6 +18,8 @@ from cpbs.query_opt import (
     query_profile,
 )
 from cpbs.randgen import random_diagram
+from cpbs.rewrite import ProofStep, apply, find_matches
+from cpbs.rules import RULES
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
 from cpbs.terms import (
     Colour,
@@ -32,8 +39,10 @@ from cpbs.terms import (
     seq,
     split_vh,
     swap,
+    Term,
     term_size,
 )
+from cpbs.textform import parse, print_term
 
 T, V, H = Colour.T, Colour.V, Colour.H
 
@@ -151,3 +160,70 @@ def test_remaining_coloured_gates_are_single_letter_and_distinct():
         coloured = [g.word for g in generators(out) if g.kind in ("gate_v", "gate_h")]
         assert all(len(w) == 1 for w in coloured)
         assert len(coloured) == len(set(coloured))
+
+
+def _fused_by_regrouping(d: Term) -> tuple[str, list[ProofStep]]:
+    """The split and fusion loops as they ran before the fusion plan: every
+    split rule is retried after each split, and the coloured gates are
+    grouped by word again after each fusion."""
+    n = to_netlist(normalize(d).as_term())
+    steps = [ProofStep("STRUCT_YANKING", "L2R", find_matches(n, "STRUCT_YANKING")[0].site_hash)]
+
+    def take(rule_id, inst):
+        nonlocal n
+        n = apply(n, inst)
+        steps.append(ProofStep(rule_id, inst.direction, inst.site_hash))
+
+    progress = True
+    while progress:
+        progress = False
+        for rule_id in ["DER18", "DER19", "DER20"]:
+            matches = find_matches(n, rule_id, "L2R")
+            if matches:
+                take(rule_id, matches[0])
+                progress = True
+                break
+
+    merge_rule = {
+        ("gate_v", "gate_h"): "DER21",
+        ("gate_h", "gate_v"): "DER22",
+        ("gate_v", "gate_v"): "DER23",
+        ("gate_h", "gate_h"): "DER24",
+    }
+    while True:
+        by_label: dict = {}
+        for word, i in sorted((g.word, i) for i, g in n.nodes.items() if g.kind in ("gate_v", "gate_h")):
+            by_label.setdefault(word, []).append(i)
+        pair = next((ids[:2] for _, ids in sorted(by_label.items()) if len(ids) >= 2), None)
+        if pair is None:
+            break
+        n1, n2 = pair
+        rule_id = merge_rule[(n.nodes[n1].kind, n.nodes[n2].kind)]
+        matches = [m for m in find_matches(n, rule_id, "L2R") if set(m.node_map.values()) == {n1, n2}]
+        take(rule_id, matches[0])
+    return print_term(to_term(n)), steps
+
+
+def test_no_fusion_rule_adds_a_coloured_gate():
+    # the fusion plan rests on this: fusing a pair leaves every other pair as it was
+    for rule_id in ["DER21", "DER22", "DER23", "DER24"]:
+        kinds = {g.kind for g in to_netlist(RULES[rule_id].rhs).nodes.values()}
+        assert not kinds & {"gate_v", "gate_h"}, rule_id
+
+
+def test_fusion_plan_takes_the_steps_of_regrouping_after_each_fusion():
+    named = [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
+             if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+    wide = [
+        parse(f"split ; gate[{'.'.join('U' * k)},V] | gate[{'.'.join('UV' * k)},H] ; merge")
+        for k in (3, 8, 20)
+    ]
+    drawn = [random_diagram(s, max_generators=24, max_wires=5) for s in range(300)]
+    optimised = 0
+    for k, d in enumerate(drawn + named + wide):
+        out, steps = optimize_queries_traced(d)
+        if not steps:
+            continue  # already at its bounds: neither loop runs
+        optimised += 1
+        assert (print_term(out), steps) == _fused_by_regrouping(d), f"term {k}"
+    assert optimised >= 200, optimised
