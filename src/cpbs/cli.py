@@ -82,6 +82,8 @@ def _read_assignment(path: str | None) -> GateAssignment:
         if not line:
             continue
         letter, *cells = line.split("\t")
+        if not cells:
+            raise ValueError(f"assignment line {lineno}: no tab-separated entries after {letter!r}")
         d = int(round(len(cells) ** 0.5))
         if d * d != len(cells):
             raise ValueError(f"assignment line {lineno}: {len(cells)} entries is not square")

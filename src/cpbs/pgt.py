@@ -106,14 +106,15 @@ def _residual_table(n: Netlist, cut: dict[int, Colour]) -> SemanticsTable:
 def to_pgt_form(d: Term) -> PgtForm:
     """Cut the gates out, stair-synthesise the rest, trace the gates back."""
     n = to_netlist(d)
-    if not is_query_optimal(n):
+    t = semantics_table(n)
+    if letter_counts(d) != query_lower_bounds(t):
         raise NotQueryOptimal("diagram does not meet its query lower bounds")
     cut = _cut_gates(n)
     core = synthesize_stair_form(_residual_table(n, cut))
     gates = tuple(Gen(GATE_FOR[c], n.nodes[nid].word) for nid, c in cut.items())
     form = PgtForm(gates, core)
     out = form.as_term()
-    if not tables_equal(semantics_table(out), semantics_table(n)):
+    if not tables_equal(semantics_table(out), t):
         raise AssertionError("PGT form changes the action table")
     if count_pbs(out) > count_pbs(d):
         raise AssertionError("PGT form uses more PBS than its input")

@@ -6,11 +6,12 @@ be present verbatim, and boundary attachments that become the legs of
 the match.  A wire pattern has no node, only pass-through wires and
 bare loops, each matched by a distinct host wire or loop of its colour;
 an empty side (the STRUCT rules) matches once.  Applying a match
-removes the matched nodes and writes the instantiated other side's
-wires onto the legs: input slot i reads in_legs[i], output slot j feeds
-out_legs[j].  Where the host runs output j straight back into input i,
-the splice follows the replacement's wire into j; a chain of such
-slots that closes up becomes a bare loop.
+removes the matched nodes, adds the other side's boxes with their word
+variables bound, and writes its wires onto the legs: input slot i reads
+in_legs[i], output slot j feeds out_legs[j].  Where the host runs
+output j straight back into input i, the splice follows the
+replacement's wire into j; a chain of such slots that closes up becomes
+a bare loop.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ class _Pattern:
     passthrough: tuple[tuple[int, int, Colour], ...]  # (bin, bout, colour)
     loops: tuple[Colour, ...]
     invents_words: bool  # the replacement needs words the match cannot supply
+    rep: Netlist  # the other side, its gate words still holding word variables
 
 
 @functools.cache
 def _compile(rule_id: str, direction: str) -> _Pattern:
-    """The pattern of the rule side matched in this direction.
+    """The pattern of the rule side matched in this direction, and the other side.
 
     Rule sides are constants, so each (rule, direction) is compiled once
     per process; the shared pattern is read-only.  Raises ValueError on
@@ -91,6 +93,7 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
         tuple(sorted(passthrough)),
         n.loops,
         not set(word_vars(rep_term)) <= set(word_vars(pat_term)),
+        to_netlist(rep_term),
     )
 
 
@@ -278,7 +281,6 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     Raises StaleInstance if the diagram changed since the match was
     found.
     """
-    _, rep_term = _sides(RULES[inst.rule], inst.direction)
     pat = _compile(inst.rule, inst.direction)
 
     # --- revalidate the site
@@ -309,7 +311,6 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
             raise StaleInstance("output leg changed")
 
     # --- splice the replacement onto the legs
-    rep = to_netlist(substitute(rep_term, inst.bindings))
     base = max(n.nodes, default=-1) + 1
     new_nodes = dict(n.nodes)
     new_wires = dict(n.wires)
@@ -319,8 +320,8 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
         del new_nodes[hn]
         for snk in n.node_sinks(hn):
             del new_wires[snk]
-    for k, node in rep.nodes.items():
-        new_nodes[base + k] = node
+    for k, box in pat.rep.nodes.items():
+        new_nodes[base + k] = substitute(box, inst.bindings)
 
     # back[i] = j: the host runs output slot j straight into input slot i,
     # through a matched loop or a wire from one site port to another
@@ -333,7 +334,7 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     def source(src: Source) -> Source:
         while src[0] == "bin" and src[1] in back:
             unreached.discard(back[src[1]])
-            src = rep.wires[("bout", back[src[1]])]
+            src = pat.rep.wires[("bout", back[src[1]])]
         if src[0] == "nout":
             return ("nout", base + src[1], src[2])
         leg = inst.in_legs[src[1]]
@@ -341,19 +342,19 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
             raise AssertionError(f"splice under {inst.rule} ran into the site's port {leg}")
         return leg
 
-    for snk, src in rep.wires.items():
+    for snk, src in pat.rep.wires.items():
         if snk[0] == "nin":
             new_wires[("nin", base + snk[1], snk[2])] = source(src)
         elif snk[1] not in fed:
             new_wires[inst.out_legs[snk[1]]] = source(src)
 
     consumed = {c[1] for c in inst.wire_choices if c[0] == "loop"} | set(inst.loop_choices)
-    new_loops = [c for k, c in enumerate(n.loops) if k not in consumed] + list(rep.loops)
+    new_loops = [c for k, c in enumerate(n.loops) if k not in consumed] + list(pat.rep.loops)
     # a chain of fed-back slots that no wire reaches closes on itself
     while unreached:
         j = unreached.pop()
         new_loops.append(pat.out_type[j])
-        while (j := back[rep.wires[("bout", j)][1]]) in unreached:
+        while (j := back[pat.rep.wires[("bout", j)][1]]) in unreached:
             unreached.remove(j)
 
     loops = tuple(sorted(new_loops, key=lambda c: c.value))

@@ -65,11 +65,6 @@ def as_word(w: object) -> Word:
     return letters
 
 
-def word_str(w: Word) -> str:
-    """Render a word in function-composition order (last applied leftmost)."""
-    return "".join(reversed(w)) if all(len(u) == 1 for u in w) else ".".join(reversed(w))
-
-
 # ---------------------------------------------------------------------------
 # generator kinds
 # ---------------------------------------------------------------------------

@@ -120,6 +120,15 @@ class TestSubcommands:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("line", ["U", "U 0,0 1,0 1,0 0,0"])
+    def test_simulate_rejects_an_assignment_line_without_entries(self, files, capsys, line):
+        # a bare letter, or entries separated by spaces, is not a 0x0 matrix
+        assign = files("m.tsv", f"{line}\n")
+        code, out, err = run(capsys, "simulate", files("d.cpbs", SWITCH), "--assign", assign)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: assignment line 1: ")
+
     def test_export_dot(self, files, capsys):
         code, out, _ = run(capsys, "export-dot", files("d.cpbs", HALF_RIGHT))
         assert code == 0

@@ -1,10 +1,11 @@
 """Each command elaborates each term once, and rule patterns compile once.
 
-`to_netlist` is wrapped with a counter at every place a `cpbs.*` module
-holds it, so a stage that rebuilds a netlist it already has shows up as
-an extra call.  Rule patterns are compiled once per (rule, direction)
-and shared, so they must never change under matching or application;
-staircase walks are likewise built once per staircase.
+`to_netlist` and `semantics_table` are wrapped with a counter at every
+place a `cpbs.*` module holds them, so a stage that rebuilds a netlist
+or a table it already has shows up as an extra call.  Rule sides are
+compiled once per (rule, direction) and shared, so they must never
+change under matching or application; staircase walks are likewise
+built once per staircase.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 import cpbs.netlist
 import cpbs.rewrite
+import cpbs.semantics
 from cpbs import gallery
 from cpbs.cli import main
 from cpbs.netlist import to_netlist
@@ -28,11 +30,10 @@ from cpbs.textform import print_term
 PATTERN_RULES = [r for r in ALL_RULE_IDS if not r.startswith("STRUCT")]
 
 
-@pytest.fixture
-def netlist_calls(monkeypatch):
-    """Counts `to_netlist` calls made through any `cpbs.*` module."""
+def _count_calls(monkeypatch, original) -> list[int]:
+    """Wraps a `cpbs` function at every `cpbs.*` module that holds it,
+    and returns the one-element list the wrapper counts its calls in."""
     calls = [0]
-    original = cpbs.netlist.to_netlist
 
     def counted(*args, **kwargs):
         calls[0] += 1
@@ -46,51 +47,82 @@ def netlist_calls(monkeypatch):
     return calls
 
 
-# (diagram, command) -> to_netlist calls once the rule patterns are compiled
+@pytest.fixture
+def netlist_calls(monkeypatch):
+    """Counts `to_netlist` calls made through any `cpbs.*` module."""
+    return _count_calls(monkeypatch, cpbs.netlist.to_netlist)
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Counts `semantics_table` calls made through any `cpbs.*` module."""
+    return _count_calls(monkeypatch, cpbs.semantics.semantics_table)
+
+
+# (diagram, command) -> to_netlist calls once the rule sides are compiled
 # and the staircases walked.
 # quantum_switch is query-optimal; three_query_circuit queries U twice
 # where once suffices.  opt-queries on three_query_circuit: the input, the
-# normal form's table check, the normal form's netlist, one replacement
-# side per rule application (4), and normalize(out) with its table check.
+# normal form's table check, the normal form's netlist, and the output's
+# certificate table; the rewrites reuse the compiled replacement sides.
 # opt-pbs adds the PGT cut's netlist of that output, the stair form's table
 # check and the PGT form's table check.
 ELABORATIONS = {
     ("quantum_switch", "opt-queries"): 1,
     ("quantum_switch", "opt-pbs"): 4,
     ("quantum_switch", "bounds"): 1,
-    ("three_query_circuit", "opt-queries"): 9,
-    ("three_query_circuit", "opt-pbs"): 12,
+    ("three_query_circuit", "opt-queries"): 4,
+    ("three_query_circuit", "opt-pbs"): 7,
     ("three_query_circuit", "bounds"): 1,
+}
+
+# (diagram, command) -> semantics_table calls on the same second run.
+# opt-queries: the input's table and, when it is not yet optimal, the
+# normal form's check and the output's certificate.  opt-pbs adds
+# to_pgt_form's table of the optimiser's output, the stair form's check
+# and the PGT form's certificate.  bounds tables its input twice, once
+# for the query bounds and once for the PBS bound.
+TABLES = {
+    ("quantum_switch", "opt-queries"): 1,
+    ("quantum_switch", "opt-pbs"): 4,
+    ("quantum_switch", "bounds"): 2,
+    ("three_query_circuit", "opt-queries"): 3,
+    ("three_query_circuit", "opt-pbs"): 6,
+    ("three_query_circuit", "bounds"): 2,
 }
 
 
 @pytest.mark.parametrize("diagram,command", sorted(ELABORATIONS))
-def test_command_elaborations(diagram, command, netlist_calls, tmp_path, capsys):
+def test_command_elaborations(diagram, command, netlist_calls, table_calls, tmp_path, capsys):
     path = tmp_path / "d.cpbs"
     path.write_text(print_term(getattr(gallery, diagram)()))
     assert main([command, str(path)]) == 0  # compiles the patterns, walks the staircases
     first = capsys.readouterr().out
-    netlist_calls[0] = 0
+    netlist_calls[0] = table_calls[0] = 0
     assert main([command, str(path)]) == 0
     assert capsys.readouterr().out == first
     assert netlist_calls[0] == ELABORATIONS[(diagram, command)]
+    assert table_calls[0] == TABLES[(diagram, command)]
 
 
 def test_compile_runs_once_per_rule_and_direction(netlist_calls):
     _compile.cache_clear()
     n = to_netlist(gallery.three_query_circuit())
     netlist_calls[0] = 0
+    sites = (("DER18", "L2R"), ("DER18", "R2L"), ("AX2", "R2L"))
+    for site in sites:
+        _compile(*site)
+    assert netlist_calls[0] == 6  # one netlist per side of each (rule, direction)
     applied = 0
     for _ in range(3):
-        for rule_id, direction in (("DER18", "L2R"), ("DER18", "R2L"), ("AX2", "R2L")):
-            matches = find_matches(n, rule_id, direction)
+        for site in sites:
+            matches = find_matches(n, *site)
             if matches:
                 apply(n, matches[0])
                 applied += 1
     assert applied >= 3
     assert _compile.cache_info().misses == 3
-    # one netlist per compiled pattern, one per instantiated replacement side
-    assert netlist_calls[0] == 3 + applied
+    assert netlist_calls[0] == 6  # applying a rule elaborates nothing
 
 
 def test_find_matches_leaves_rule_sides_alone(monkeypatch):

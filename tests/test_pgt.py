@@ -152,6 +152,24 @@ class TestToPgtForm:
             "raised: optimised diagram is not equivalent to its input",
         ]
 
+    def test_unbounded_query_fails_the_certificate_under_optimised_python(self):
+        # the output keeps its table but queries W, which has no bound
+        script = textwrap.dedent(
+            """
+            import cpbs.query_opt as query_opt
+            from cpbs.gallery import three_query_circuit
+            from cpbs.terms import Colour, Trace, gate_t, par
+
+            real = query_opt.to_term
+            query_opt.to_term = lambda n: par(real(n), Trace(Colour.T, gate_t("W")))
+            try:
+                query_opt.optimize_queries(three_query_circuit())
+            except AssertionError as e:
+                print("raised:", e)
+            """
+        )
+        assert _run_optimised(script) == ["raised: optimised diagram misses a query lower bound"]
+
     def test_synthesis_postconditions_survive_optimised_python(self):
         # a normal form without its gates, a stair form without its
         # permutations and a reduction diagram without its routers must

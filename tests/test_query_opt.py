@@ -211,9 +211,25 @@ def test_no_fusion_rule_adds_a_coloured_gate():
         assert not kinds & {"gate_v", "gate_h"}, rule_id
 
 
+def _gallery_diagrams() -> list[Term]:
+    return [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
+            if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+
+
+def test_normal_forms_draw_no_black_gate():
+    # the split rules rest on this: DER18 and DER19 cut every gate a normal
+    # form draws into gate_v and gate_h pieces, so DER20 is never needed
+    for rule_id in ["DER18", "DER19"]:
+        kinds = {g.kind for g in to_netlist(RULES[rule_id].rhs).nodes.values()}
+        assert kinds <= {"gate_v", "gate_h"}, rule_id
+    drawn = [random_diagram(s, max_generators=24, max_wires=5) for s in range(300)]
+    for k, d in enumerate(drawn + _gallery_diagrams()):
+        kinds = {g.kind for g in to_netlist(normalize(d).as_term()).nodes.values()}
+        assert "gate_t" not in kinds, f"term {k}"
+
+
 def test_fusion_plan_takes_the_steps_of_regrouping_after_each_fusion():
-    named = [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
-             if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+    named = _gallery_diagrams()
     wide = [
         parse(f"split ; gate[{'.'.join('U' * k)},V] | gate[{'.'.join('UV' * k)},H] ; merge")
         for k in (3, 8, 20)

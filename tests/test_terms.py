@@ -39,7 +39,6 @@ from cpbs.terms import (
     swap,
     term_size,
     type_of,
-    word_str,
 )
 
 T, V, H = Colour.T, Colour.V, Colour.H
@@ -55,12 +54,6 @@ def test_word_coercion():
         as_word("2U")
     with pytest.raises(ValueError):
         as_word(("ok", "not ok"))
-
-
-def test_word_str_is_composition_order():
-    assert word_str(("U", "V")) == "VU"
-    assert word_str(()) == ""
-    assert word_str(("U1", "V")) == "V.U1"
 
 
 def test_generator_signatures():
