@@ -19,7 +19,7 @@ from .hardness import build_C_w_sigma, orient_eulerian, parse_graph
 from .netlist import to_netlist
 from .normal_form import equivalent, normalize
 from .pgt import to_pgt_form
-from .query_opt import optimize_queries, query_profile
+from .query_opt import _query_profile, optimize_queries
 from .semantics import semantics_table
 from .stairs import pbs_lower_bound
 from .terms import Colour, Term, count_pbs, type_of, type_str
@@ -58,8 +58,8 @@ def _table_tsv(d: Term) -> str:
 
 def _bounds_text(d: Term) -> str:
     n = to_netlist(d)
-    lines = [query_profile(n).as_tsv()]
     t = semantics_table(n)
+    lines = [_query_profile(n, t).as_tsv()]
     try:
         pbs_bound = str(pbs_lower_bound(t))
     except HasGates:

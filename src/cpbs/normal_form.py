@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotBijective, PreconditionViolated, TypeMismatch
-from .netlist import Netlist
+from .netlist import Netlist, to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
     GATE_FOR,
@@ -122,15 +122,21 @@ def synthesize_nf(t: SemanticsTable) -> NormalForm:
     configuration becomes one internal line carrying its word, negated
     when the polarisation flips, routed to its target slot.
     """
+    return _synthesize_nf(t)[0]
+
+
+def _synthesize_nf(t: SemanticsTable) -> tuple[NormalForm, Netlist]:
+    """synthesize_nf, with the netlist of the form that its check tabled."""
     if not is_bijective(t):
         raise NotBijective(f"action on {t.in_type} is not a bijection onto {t.out_type}")
     lines = tuple(
         NfLine(cfg, t.entries[cfg][0], t.entries[cfg][1]) for cfg in configurations(t.in_type)
     )
     nf = NormalForm(t.in_type, t.out_type, lines)
-    if not tables_equal(semantics_table(nf.as_term()), t):
+    n = to_netlist(nf.as_term())
+    if not tables_equal(semantics_table(n), t):
         raise AssertionError("normal form changes the action table")
-    return nf
+    return nf, n
 
 
 def normalize(d: Netlist | Term) -> NormalForm:

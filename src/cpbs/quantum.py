@@ -10,7 +10,6 @@ give unitaries; the map is always an isometry.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,38 +124,3 @@ def interpret(d: Term, g: GateAssignment | dict) -> Term:
         return x
 
     return fold(d, gen, Seq, Par, Trace, Empty())
-
-
-def label_product(word: tuple, dim: int) -> np.ndarray:
-    """Product of MatrixLabel letters in trajectory order."""
-    out = np.eye(dim, dtype=complex)
-    for label in word:
-        out = label.matrix @ out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# word-separating assignments
-# ---------------------------------------------------------------------------
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def random_separating_assignment(
-    letters: set[str] | list[str], dim: int = 2, seed: int = 0
-) -> GateAssignment:
-    """Seeded assignment that almost surely separates distinct words.
-
-    Each letter becomes H.diag(1, e^{i theta}) in the top-left 2x2
-    block of the dim x dim identity, theta uniform in [0, 2pi).
-    """
-    if dim < 2:
-        raise ValueError("separating assignments need dim >= 2")
-    rng = random.Random(seed)
-    out: dict[str, np.ndarray] = {}
-    for letter in sorted(letters):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        m = np.eye(dim, dtype=complex)
-        m[:2, :2] = _HADAMARD @ np.diag([1.0, np.exp(1j * theta)])
-        out[letter] = m
-    return GateAssignment(dim, out)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .netlist import Netlist, to_netlist, to_term
-from .normal_form import synthesize_nf
-from .rewrite import ProofStep, RuleInstance, apply, find_matches
+from .netlist import Netlist, to_term
+from .normal_form import _synthesize_nf
+from .rewrite import ProofStep, RuleInstance, _compile, match_at, splice
 from .semantics import SemanticsTable, _coerce, semantics_table, tables_equal
 from .terms import GATE_KINDS, Term, Word, letter_counts, term_size
 
@@ -55,7 +56,12 @@ def query_profile(d: Netlist | Term) -> QueryProfile:
     term's gates one for one.
     """
     n = _coerce(d)
-    bounds = query_lower_bounds(semantics_table(n))
+    return _query_profile(n, semantics_table(n))
+
+
+def _query_profile(n: Netlist, t: SemanticsTable) -> QueryProfile:
+    """query_profile of a netlist whose table is already at hand."""
+    bounds = query_lower_bounds(t)
     queries: Counter[str] = Counter()
     for node in n.nodes.values():
         if node.kind in GATE_KINDS:
@@ -85,6 +91,13 @@ _MERGE_RULE = {
 }
 
 
+# the deformation onto the normal form: STRUCT_YANKING's sides are both the
+# empty diagram, so its one site on any netlist is the empty instance
+_DEFORMATION = ProofStep(
+    "STRUCT_YANKING", "L2R", RuleInstance("STRUCT_YANKING", "L2R").site_hash
+)
+
+
 def _nonblack_gates(n: Netlist) -> list[tuple[Word, int]]:
     return sorted(
         (node.word, i)
@@ -107,26 +120,40 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     if letter_counts(d) == bounds:
         return d, []
     budget = 10 * max(1, term_size(d)) ** 2
-    n = to_netlist(synthesize_nf(t).as_term())
-    head = find_matches(n, "STRUCT_YANKING")[0]
-    steps = [ProofStep("STRUCT_YANKING", "L2R", head.site_hash)]
+    # every site below is named before its step, so nothing searches the
+    # whole netlist: the normal form's netlist is rewritten in place, and
+    # each step matches its rule on the one or two gates it rewrites
+    n = _synthesize_nf(t)[1]
+    next_id = max(n.nodes, default=-1) + 1
+    steps = [_DEFORMATION]
 
-    def take(rule_id: str, inst: RuleInstance) -> None:
-        nonlocal n
-        n = apply(n, inst)
-        steps.append(ProofStep(rule_id, inst.direction, inst.site_hash))
+    def take(rule_id: str, nodes: tuple[int, ...]) -> range:
+        """Rewrite by the rule's least site on these nodes; returns the new ids."""
+        nonlocal next_id
+        sites = match_at(n, rule_id, "L2R", nodes)
+        if not sites:
+            raise AssertionError(f"{rule_id} has no site on nodes {nodes}")
+        new_ids = splice(n, sites[0], next_id)
+        # every rule taken here adds boxes, so the counter stays max(n.nodes) + 1
+        next_id = new_ids.stop
+        steps.append(ProofStep(rule_id, "L2R", sites[0].site_hash))
         if len(steps) > budget:
             raise AssertionError("rule budget exceeded")
+        return new_ids
 
-    # cut every multi-letter gate into single letters, by the first rule that matches
-    while True:
-        for rule_id in _SPLIT_RULES:
-            matches = find_matches(n, rule_id, "L2R")
-            if matches:
-                take(rule_id, matches[0])
-                break
-        else:
-            break
+    # cut every multi-letter gate into single letters: all gate_v first, then
+    # all gate_h, as a split makes gates of its own colour only.  The least
+    # site of a split rule lies on the qualifying gate whose id is least as a
+    # string (site keys are reprs, so [(0, 12)] sorts before [(0, 7)]), so a
+    # heap keyed that way names each step's gate.
+    for rule_id in _SPLIT_RULES:
+        kind = _compile(rule_id, "L2R").nodes[0].kind
+        heap = [(str(i), i) for i, g in n.nodes.items() if g.kind == kind and len(g.word) > 1]
+        heapify(heap)
+        while heap:
+            for i in take(rule_id, (heappop(heap)[1],)):
+                if n.nodes[i].kind == kind and len(n.nodes[i].word) > 1:
+                    heappush(heap, (str(i), i))
 
     # fuse equal-letter pairs of coloured gates into single black gates, word
     # by word and two ids at a time: a fusion adds no coloured gate and
@@ -136,13 +163,7 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
         by_label.setdefault(word, []).append(i)
     for ids in by_label.values():
         for n1, n2 in zip(ids[::2], ids[1::2]):
-            rule_id = _MERGE_RULE[(n.nodes[n1].kind, n.nodes[n2].kind)]
-            matches = [
-                m
-                for m in find_matches(n, rule_id, "L2R")
-                if set(m.node_map.values()) == {n1, n2}
-            ]
-            take(rule_id, matches[0])
+            take(_MERGE_RULE[(n.nodes[n1].kind, n.nodes[n2].kind)], (n1, n2))
 
     labels = [w for w, _ in _nonblack_gates(n)]
     if len(labels) != len(set(labels)) or any(len(w) != 1 for w in labels):

@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import DerivationFailed, StaleInstance
 from .netlist import Netlist, netlists_isomorphic, to_netlist
@@ -188,22 +189,43 @@ def _sides(rule: Rule, direction: str) -> tuple[Term, Term]:
 
 def find_matches(n: Netlist, rule_id: str, direction: str = "L2R") -> list[RuleInstance]:
     """All sites where the rule applies, in the order of their site keys."""
+    return match_at(n, rule_id, direction, n.nodes)
+
+
+def match_at(n: Netlist, rule_id: str, direction: str, nodes: Iterable[int]) -> list[RuleInstance]:
+    """The sites whose matched nodes all lie among the given host nodes.
+
+    These are exactly the instances find_matches returns with their
+    nodes among ``nodes``, in the order of their site keys; the node
+    matcher tries no other host node.  A wire pattern matches no node,
+    so every one of its sites qualifies.
+    """
     pat = _compile(rule_id, direction)
     if pat.invents_words:
         return []
-    out = (_node_matches if pat.nodes else _wire_matches)(n, pat, rule_id, direction)
+    if pat.nodes:
+        out = _node_matches(n, pat, rule_id, direction, nodes)
+    else:
+        out = _wire_matches(n, pat, rule_id, direction)
     out.sort(key=RuleInstance.site_key)
     return out
 
 
-def _node_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> list[RuleInstance]:
-    """Injective embeddings of the pattern's nodes that keep its internal wires.
+def _node_matches(
+    n: Netlist,
+    pat: _Pattern,
+    rule_id: str,
+    direction: str,
+    nodes: Iterable[int],
+) -> list[RuleInstance]:
+    """Injective embeddings of the pattern's nodes into the given host
+    nodes that keep its internal wires.
 
     A wire is checked as soon as both of its nodes are placed; the legs
     are read from the ports of the matched nodes.
     """
     by_kind: dict[str, list[int]] = {}
-    for hn in sorted(n.nodes):
+    for hn in sorted(nodes):
         by_kind.setdefault(n.nodes[hn].kind, []).append(hn)
     rev = n.sink_of()
     out: list[RuleInstance] = []
@@ -278,8 +300,21 @@ def _wire_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> li
 def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     """Rewrite at the matched site, returning a new netlist.
 
+    The replacement's boxes are numbered from ``max(n.nodes) + 1``.
     Raises StaleInstance if the diagram changed since the match was
     found.
+    """
+    out = Netlist(n.in_type, n.out_type, dict(n.nodes), dict(n.wires), n.loops)
+    splice(out, inst, max(n.nodes, default=-1) + 1)
+    return out
+
+
+def splice(n: Netlist, inst: RuleInstance, base: int) -> range:
+    """Rewrite n in place at the matched site; returns the new boxes' ids.
+
+    The replacement's boxes are numbered from ``base``, which no node of
+    n may reach.  Raises StaleInstance, leaving n as it was, if the
+    diagram changed since the match was found.
     """
     pat = _compile(inst.rule, inst.direction)
 
@@ -309,19 +344,19 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     for j, src in pat.bound_out:
         if n.wires.get(inst.out_legs[j]) != ("nout", inst.node_map[src[1]], src[2]):
             raise StaleInstance("output leg changed")
+    new_ids = range(base, base + len(pat.rep.nodes))
+    if any(k in n.nodes for k in new_ids):
+        raise ValueError(f"node ids from {base} are taken")
 
     # --- splice the replacement onto the legs
-    base = max(n.nodes, default=-1) + 1
-    new_nodes = dict(n.nodes)
-    new_wires = dict(n.wires)
     # the wires into the matched nodes go; every other wire the site
     # takes ends at an out-leg, which the splice rewrites
     for hn in inst.node_map.values():
-        del new_nodes[hn]
         for snk in n.node_sinks(hn):
-            del new_wires[snk]
+            del n.wires[snk]
+        del n.nodes[hn]
     for k, box in pat.rep.nodes.items():
-        new_nodes[base + k] = substitute(box, inst.bindings)
+        n.nodes[base + k] = substitute(box, inst.bindings)
 
     # back[i] = j: the host runs output slot j straight into input slot i,
     # through a matched loop or a wire from one site port to another
@@ -344,9 +379,9 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
 
     for snk, src in pat.rep.wires.items():
         if snk[0] == "nin":
-            new_wires[("nin", base + snk[1], snk[2])] = source(src)
+            n.wires[("nin", base + snk[1], snk[2])] = source(src)
         elif snk[1] not in fed:
-            new_wires[inst.out_legs[snk[1]]] = source(src)
+            n.wires[inst.out_legs[snk[1]]] = source(src)
 
     consumed = {c[1] for c in inst.wire_choices if c[0] == "loop"} | set(inst.loop_choices)
     new_loops = [c for k, c in enumerate(n.loops) if k not in consumed] + list(pat.rep.loops)
@@ -357,8 +392,8 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
         while (j := back[pat.rep.wires[("bout", j)][1]]) in unreached:
             unreached.remove(j)
 
-    loops = tuple(sorted(new_loops, key=lambda c: c.value))
-    return Netlist(n.in_type, n.out_type, new_nodes, new_wires, loops)
+    n.loops = tuple(sorted(new_loops, key=lambda c: c.value))
+    return new_ids
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from cpbs import gallery
 from cpbs.cli import main
 from cpbs.netlist import to_netlist
 from cpbs.normal_form import normalize
-from cpbs.query_opt import is_query_optimal, optimize_queries, query_profile
+from cpbs.query_opt import (
+    is_query_optimal,
+    optimize_queries,
+    optimize_queries_traced,
+    query_profile,
+)
 from cpbs.randgen import random_diagram
 from cpbs.rewrite import _CHAINS, _compile, apply, find_matches, replay_derivation
 from cpbs.rules import ALL_RULE_IDS
@@ -63,16 +68,16 @@ def table_calls(monkeypatch):
 # and the staircases walked.
 # quantum_switch is query-optimal; three_query_circuit queries U twice
 # where once suffices.  opt-queries on three_query_circuit: the input, the
-# normal form's table check, the normal form's netlist, and the output's
-# certificate table; the rewrites reuse the compiled replacement sides.
-# opt-pbs adds the PGT cut's netlist of that output, the stair form's table
-# check and the PGT form's table check.
+# normal form's table check, whose netlist the rewrites then work on, and
+# the output's certificate table; the rewrites reuse the compiled
+# replacement sides.  opt-pbs adds the PGT cut's netlist of that output,
+# the stair form's table check and the PGT form's table check.
 ELABORATIONS = {
     ("quantum_switch", "opt-queries"): 1,
     ("quantum_switch", "opt-pbs"): 4,
     ("quantum_switch", "bounds"): 1,
-    ("three_query_circuit", "opt-queries"): 4,
-    ("three_query_circuit", "opt-pbs"): 7,
+    ("three_query_circuit", "opt-queries"): 3,
+    ("three_query_circuit", "opt-pbs"): 6,
     ("three_query_circuit", "bounds"): 1,
 }
 
@@ -80,15 +85,15 @@ ELABORATIONS = {
 # opt-queries: the input's table and, when it is not yet optimal, the
 # normal form's check and the output's certificate.  opt-pbs adds
 # to_pgt_form's table of the optimiser's output, the stair form's check
-# and the PGT form's certificate.  bounds tables its input twice, once
-# for the query bounds and once for the PBS bound.
+# and the PGT form's certificate.  bounds tables its input once,
+# for both the query bounds and the PBS bound.
 TABLES = {
     ("quantum_switch", "opt-queries"): 1,
     ("quantum_switch", "opt-pbs"): 4,
-    ("quantum_switch", "bounds"): 2,
+    ("quantum_switch", "bounds"): 1,
     ("three_query_circuit", "opt-queries"): 3,
     ("three_query_circuit", "opt-pbs"): 6,
-    ("three_query_circuit", "bounds"): 2,
+    ("three_query_circuit", "bounds"): 1,
 }
 
 
@@ -103,6 +108,17 @@ def test_command_elaborations(diagram, command, netlist_calls, table_calls, tmp_
     assert capsys.readouterr().out == first
     assert netlist_calls[0] == ELABORATIONS[(diagram, command)]
     assert table_calls[0] == TABLES[(diagram, command)]
+
+
+def test_the_query_optimiser_neither_searches_nor_copies_a_netlist(monkeypatch):
+    # each step matches on the gates it rewrites and splices the one netlist in place
+    searches = _count_calls(monkeypatch, cpbs.rewrite.find_matches)
+    copies = _count_calls(monkeypatch, cpbs.rewrite.apply)
+    steps = 0
+    for seed in range(40):
+        steps += len(optimize_queries_traced(random_diagram(seed, max_generators=24, max_wires=4))[1])
+    assert steps > 100, steps
+    assert searches[0] == copies[0] == 0
 
 
 def test_compile_runs_once_per_rule_and_direction(netlist_calls):

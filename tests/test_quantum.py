@@ -13,9 +13,7 @@ from cpbs.quantum import (
     gamma,
     interpret,
     isometry_defect,
-    label_product,
     quantum_matrix,
-    random_separating_assignment,
 )
 from cpbs.randgen import random_diagram
 from cpbs.semantics import semantics_table
@@ -35,6 +33,38 @@ from cpbs.terms import (
 )
 
 T, V, H = Colour.T, Colour.V, Colour.H
+
+
+def label_product(word: tuple, dim: int) -> np.ndarray:
+    """Product of MatrixLabel letters in trajectory order."""
+    out = np.eye(dim, dtype=complex)
+    for label in word:
+        out = label.matrix @ out
+    return out
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def random_separating_assignment(
+    letters: set[str] | list[str], dim: int = 2, seed: int = 0
+) -> GateAssignment:
+    """Seeded assignment that almost surely separates distinct words.
+
+    Each letter becomes H.diag(1, e^{i theta}) in the top-left 2x2
+    block of the dim x dim identity, theta uniform in [0, 2pi).
+    """
+    if dim < 2:
+        raise ValueError("separating assignments need dim >= 2")
+    rng = random.Random(seed)
+    out: dict[str, np.ndarray] = {}
+    for letter in sorted(letters):
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        m = np.eye(dim, dtype=complex)
+        m[:2, :2] = _HADAMARD @ np.diag([1.0, np.exp(1j * theta)])
+        out[letter] = m
+    return GateAssignment(dim, out)
+
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)

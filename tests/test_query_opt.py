@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import time
 
 import pytest
 
@@ -235,6 +236,8 @@ def test_fusion_plan_takes_the_steps_of_regrouping_after_each_fusion():
         for k in (3, 8, 20)
     ]
     drawn = [random_diagram(s, max_generators=24, max_wires=5) for s in range(300)]
+    # larger draws, of the sizes the random-opt benchmark feeds the optimiser
+    drawn += [random_diagram(s, max_generators=8 + s % 57, max_wires=2 + s % 5) for s in range(400)]
     optimised = 0
     for k, d in enumerate(drawn + named + wide):
         out, steps = optimize_queries_traced(d)
@@ -242,4 +245,17 @@ def test_fusion_plan_takes_the_steps_of_regrouping_after_each_fusion():
             continue  # already at its bounds: neither loop runs
         optimised += 1
         assert (print_term(out), steps) == _fused_by_regrouping(d), f"term {k}"
-    assert optimised >= 200, optimised
+    assert optimised >= 500, optimised
+
+
+def test_fusing_a_hundred_equal_letters_is_quick():
+    # every U of the two gates is split off and fused with its twin; each
+    # fusion matches on its own pair, not on every pair in the netlist
+    k = 100
+    d = parse(f"split ; gate[{'.'.join('U' * k)},V] | gate[{'.'.join('U' * k)},H] ; merge")
+    start = time.perf_counter()
+    out, steps = optimize_queries_traced(d)
+    elapsed = time.perf_counter() - start
+    assert len(steps) == 1 + 2 * (k - 1) + k
+    assert count_queries(out, "U") == k
+    assert elapsed < 3.0, f"{elapsed:.2f} s"

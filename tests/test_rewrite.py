@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 import time
 
@@ -24,8 +25,10 @@ from cpbs.rewrite import (
     apply,
     check_soundness,
     find_matches,
+    match_at,
     render_trace,
     replay_derivation,
+    splice,
 )
 from cpbs.rules import ALL_RULE_IDS, RULES, Rule, WVar, _gh, _gv, substitute, word_vars
 from cpbs.semantics import semantics_table, tables_equal
@@ -405,6 +408,54 @@ def test_find_matches_agrees_with_the_reference_matcher():
                 assert [m.site_key() for m in find_matches(n, rule_id, direction)] == want
                 found += len(want)
     assert found > 1000
+
+
+def test_match_at_is_find_matches_on_the_given_nodes():
+    # seeds: every node, a random half, and the nodes of a few of the sites
+    rng = random.Random(0)
+    hosts = _cross_check_hosts()
+    seeded = 0
+    for rule_id in ALL_RULE_IDS:
+        for direction in ("L2R", "R2L"):
+            for n in hosts:
+                every = find_matches(n, rule_id, direction)
+                seeds = [set(n.nodes), {hn for hn in n.nodes if rng.random() < 0.5}]
+                seeds += [set(m.node_map.values()) for m in every[:3]]
+                for nodes in seeds:
+                    want = [m.site_key() for m in every if set(m.node_map.values()) <= nodes]
+                    got = match_at(n, rule_id, direction, nodes)
+                    assert [m.site_key() for m in got] == want, (rule_id, direction, nodes)
+                    seeded += bool(want) and nodes != set(n.nodes)
+    assert seeded > 1000, seeded
+
+
+def test_splice_in_place_is_apply():
+    hosts = _cross_check_hosts()[::3]
+    spliced = 0
+    for rule_id in ALL_RULE_IDS:
+        for direction in ("L2R", "R2L"):
+            for n in hosts:
+                for inst in find_matches(n, rule_id, direction)[:4]:
+                    want = apply(n, inst)
+                    m = Netlist(n.in_type, n.out_type, dict(n.nodes), dict(n.wires), n.loops)
+                    new_ids = splice(m, inst, max(n.nodes, default=-1) + 1)
+                    assert (m.nodes, m.wires, m.loops) == (want.nodes, want.wires, want.loops)
+                    assert list(m.nodes.items()) == list(want.nodes.items())  # same order
+                    assert list(new_ids) == [k for k in m.nodes if k not in n.nodes]
+                    spliced += 1
+    assert spliced > 1000, spliced
+
+
+def test_a_stale_splice_leaves_the_netlist_alone():
+    n = to_netlist(par(gate_v(("U", "V")), gate_v(("W", "X"))))
+    first, second = find_matches(n, "DER18", "L2R")
+    splice(n, first, 2)
+    before = (dict(n.nodes), dict(n.wires), n.loops)
+    with pytest.raises(StaleInstance):
+        splice(n, first, 4)
+    with pytest.raises(ValueError, match="taken"):
+        splice(n, second, 3)
+    assert (n.nodes, n.wires, n.loops) == before
 
 
 def test_a_rule_side_mixing_nodes_and_bare_wires_is_rejected():
