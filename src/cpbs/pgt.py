@@ -11,7 +11,6 @@ netlists provides an independent check.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotFound, NotQueryOptimal, PreconditionViolated
@@ -237,13 +236,33 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
     return advance(0)
 
 
+def _balance(nodes: tuple[Gen, ...]) -> tuple[int, int, int]:
+    """Sources minus sinks of the nodes' ports, per colour (T, V, H)."""
+    bal = dict.fromkeys((T, V, H), 0)
+    for node in nodes:
+        ins, outs = node.signature()
+        for c in outs:
+            bal[c] += 1
+        for c in ins:
+            bal[c] -= 1
+    return bal[T], bal[V], bal[H]
+
+
 def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) -> int:
     """Least PBS count over all small diagrams realising the table.
 
     Query counts are pinned to the table's lower bounds (fewer is
     impossible, more never helps the PBS count), negations default to
-    at most two per candidate.
+    at most two per candidate.  A wiring exists only if, per colour,
+    the nodes' output ports and the table's inputs match the nodes'
+    input ports and the table's outputs; so candidates are paired by
+    port-colour balance: the gate multisets are bucketed by theirs, and
+    each PBS and negation multiset meets only the gate bucket that makes
+    up the table's ``out_type`` minus ``in_type``.  The balanced
+    candidates reach ``_realises`` in the order of the full enumeration.
     """
+    if max_pbs < 0 or neg_budget < 0:
+        raise PreconditionViolated("PBS and negation budgets must be non-negative")
     if len(list(configurations(t.in_type))) > 6:
         raise PreconditionViolated("table is wider than 6 configurations")
     if max_pbs > 4:
@@ -252,25 +271,21 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     if sum(bounds.values()) > 2:
         raise PreconditionViolated("more than 2 oracle letters in the table")
 
-    gate_sets = _gate_options(bounds)
+    gates_by_balance: dict[tuple[int, int, int], list[tuple[Gen, ...]]] = {}
+    for gates in _gate_options(bounds):
+        gates_by_balance.setdefault(_balance(gates), []).append(gates)
     neg_sets = [
-        negs
+        (_balance(negs), negs)
         for nn in range(neg_budget + 1)
         for negs in itertools.combinations_with_replacement(map(Gen, sorted(NEG_KINDS)), nn)
     ]
+    need = tuple(t.out_type.count(c) - t.in_type.count(c) for c in (T, V, H))
     for n_pbs in range(max_pbs + 1):
         for pbs in itertools.combinations_with_replacement(map(Gen, sorted(PBS_KINDS)), n_pbs):
-            for negs in neg_sets:
-                for gates in gate_sets:
-                    nodes = [*pbs, *negs, *gates]
-                    src_count = Counter(t.in_type)
-                    snk_count = Counter(t.out_type)
-                    for node in nodes:
-                        ins, outs = node.signature()
-                        src_count.update(outs)
-                        snk_count.update(ins)
-                    if src_count != snk_count:
-                        continue
-                    if _realises(t, nodes):
+            pbs_bal = _balance(pbs)
+            for neg_bal, negs in neg_sets:
+                key = tuple(n - p - g for n, p, g in zip(need, pbs_bal, neg_bal))
+                for gates in gates_by_balance.get(key, ()):
+                    if _realises(t, [*pbs, *negs, *gates]):
                         return n_pbs
     raise NotFound(f"no realisation within {max_pbs} PBS")

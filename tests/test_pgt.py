@@ -1,14 +1,18 @@
 """PGT forms, single-query optimality certificates, brute-force floor."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cpbs
+import cpbs.pgt as pgt
 from cpbs.errors import NotFound, NotQueryOptimal, PreconditionViolated
 from cpbs.normal_form import equivalent
 from cpbs.pgt import (
@@ -18,10 +22,13 @@ from cpbs.pgt import (
     is_query_pbs_optimal_single,
     to_pgt_form,
 )
-from cpbs.query_opt import optimize_queries, query_lower_bounds
+from cpbs.query_opt import optimize_queries, query_lower_bounds, query_profile
 from cpbs.randgen import random_diagram
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
+from cpbs.stairs import pbs_lower_bound, synthesize_stair_form
 from cpbs.terms import (
+    NEG_KINDS,
+    PBS_KINDS,
     Colour,
     Gen,
     Trace,
@@ -72,6 +79,83 @@ def one_query_both_colours():
     # single black gate behind a merge/split sandwich; each polarisation
     # of the (H, V) boundary queries U exactly once
     return seq(merge_hv(), gate_t("U"), split_hv())
+
+
+# gate-free random_diagram(s, max_generators=10, max_wires=3) seeds whose PGT
+# witness has at most 2 PBS and at least 3 negations (the first 48 such
+# seeds; the certify benchmark's probe tables)
+THREE_NEGATION_SEEDS = (
+    10, 20, 33, 53, 56, 74, 237, 286, 300, 389, 408, 445, 471, 523, 562, 587,
+    599, 611, 647, 758, 782, 793, 824, 847, 852, 857, 876, 881, 884, 891, 907, 910,
+    912, 924, 930, 937, 974, 1086, 1096, 1129, 1135, 1154, 1157, 1194, 1219, 1243,
+    1248, 1270,
+)
+
+
+def _counter_filtered_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int) -> int:
+    """Reference: every (PBS x negation x gate) multiset in turn, dropped
+    unless its port colours balance, then handed to ``_realises``."""
+    gate_sets = _gate_options(query_lower_bounds(t))
+    neg_sets = [
+        negs
+        for nn in range(neg_budget + 1)
+        for negs in itertools.combinations_with_replacement(map(Gen, sorted(NEG_KINDS)), nn)
+    ]
+    for n_pbs in range(max_pbs + 1):
+        for pbs in itertools.combinations_with_replacement(map(Gen, sorted(PBS_KINDS)), n_pbs):
+            for negs in neg_sets:
+                for gates in gate_sets:
+                    nodes = [*pbs, *negs, *gates]
+                    src_count = Counter(t.in_type)
+                    snk_count = Counter(t.out_type)
+                    for node in nodes:
+                        ins, outs = node.signature()
+                        src_count.update(outs)
+                        snk_count.update(ins)
+                    if src_count != snk_count:
+                        continue
+                    if pgt._realises(t, nodes):
+                        return n_pbs
+    raise NotFound(f"no realisation within {max_pbs} PBS")
+
+
+def _searches() -> list[tuple[SemanticsTable, int, int]]:
+    """(table, max_pbs, neg_budget) for the certify-style draws, the
+    three-negation tables and the tables of acceptance criteria 6 and 7."""
+    out = []
+    rng = random.Random(0)
+    for i in range(300):
+        d = random_diagram(rng, max_generators=10, max_wires=3, letters=("U", "V"),
+                           single_query=True, gate_free=i % 2 == 0)
+        out.append((semantics_table(d), to_pgt_form(optimize_queries(d)).count_pbs(), 2))
+    for s in THREE_NEGATION_SEEDS:
+        d = random_diagram(s, max_generators=10, max_wires=3, gate_free=True)
+        out.extend((semantics_table(d), to_pgt_form(d).count_pbs(), nb) for nb in range(4))
+    rng = random.Random(6)
+    for _ in range(200):
+        t = semantics_table(random_diagram(rng, max_generators=8, gate_free=True))
+        if len(list(configurations(t.in_type))) <= 6:
+            sf = synthesize_stair_form(t)
+            out.append((t, 4, max(2, sum(sf.pre_negs) + sum(sf.post_negs))))
+    rng = random.Random(7)
+    checked = 0
+    while checked < 50:
+        d = random_diagram(rng, max_generators=8, letters=("U", "V"), single_query=True)
+        if not letters_of(d):
+            continue
+        opt = optimize_queries(d)
+        profile = query_profile(opt)
+        t = semantics_table(opt)
+        if (any(k > 1 for k in profile.counts.values())
+                or len(list(configurations(t.in_type))) > 6
+                or sum(profile.lower_bounds.values()) > 2):
+            continue
+        form = to_pgt_form(opt)
+        if form.count_pbs() > 4:
+            continue
+        out.append((t, 4, max(2, sum(form.core.pre_negs) + sum(form.core.post_negs))))
+        checked += 1
+    return out
 
 
 def _run_optimised(script: str) -> list[str]:
@@ -271,6 +355,45 @@ class TestBruteForce:
         with pytest.raises(PreconditionViolated):
             brute_force_min_pbs(wordy, 2)
 
+    def test_negative_negation_budget_is_rejected(self):
+        # the identity needs no PBS; an empty negation range must not
+        # read as "no realisation"
+        with pytest.raises(PreconditionViolated):
+            brute_force_min_pbs(semantics_table(ident(T)), 2, neg_budget=-1)
+
+    def test_negative_pbs_budget_is_rejected(self):
+        with pytest.raises(PreconditionViolated):
+            brute_force_min_pbs(semantics_table(ident(T)), -1)
+
+    def test_balance_buckets_hand_over_every_balanced_candidate(self, monkeypatch):
+        # the same verdicts and the same _realises calls as the loop that
+        # checked each candidate's colour balance with two Counters
+        calls = 0
+        real = pgt._realises
+
+        def counting(t, nodes):
+            nonlocal calls
+            calls += 1
+            return real(t, nodes)
+
+        def counted(search, t, max_pbs, neg_budget):
+            nonlocal calls
+            calls = 0
+            try:
+                verdict = search(t, max_pbs, neg_budget)
+            except NotFound:
+                verdict = None
+            return verdict, calls
+
+        monkeypatch.setattr(pgt, "_realises", counting)
+        verdicts = Counter()
+        for k, search in enumerate(_searches()):
+            got = counted(brute_force_min_pbs, *search)
+            assert got == counted(_counter_filtered_min_pbs, *search), (k, search)
+            verdicts[got[0]] += 1
+        # found and failed searches are both compared
+        assert verdicts[None] > 0 and len(verdicts) > 2
+
     def test_gate_options_cover_fused_and_separate_words(self):
         opts = _gate_options({"U": 2})
         assert (Gen("gate_t", ("U", "U")),) in opts
@@ -280,8 +403,6 @@ class TestBruteForce:
         assert (("U", "V"),) in words or (("U",), ("V",)) in words
 
     def test_matches_stair_bound_on_random_gate_free_tables(self):
-        from cpbs.stairs import pbs_lower_bound, synthesize_stair_form
-
         checked = 0
         seed = 0
         while checked < 40:
