@@ -167,6 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if [getattr(args, a, None) for a in ("file", "file_a", "file_b", "assign")].count("-") > 1:
+        print("error: stdin (-) can be read for one input only", file=sys.stderr)
+        return 2
     try:
         if args.command == "check":
             a, b = type_of(_load(args.file))

@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
     NotEulerian,
 )
+from .netlist import to_netlist
 from .semantics import semantics_table, tables_equal
 from .stairs import Staircase
 from .terms import Colour, Empty, Term, Word, count_pbs, gate_t, ident, neg_t, par, permute, seq
@@ -136,15 +137,20 @@ def orient_eulerian(g: EulerianGraph, seed: int = 0) -> Orientation:
     circuit.reverse()
     assert len(circuit) == len(g.edges), "graph admits no Eulerian circuit"
 
-    arcs: list[tuple[str, str] | None] = [None] * len(g.edges)
-    sigma: list[int] = [0] * len(g.edges)
-    for j, (i, tail, head) in enumerate(circuit):
-        arcs[i] = (tail, head)
-        sigma[i] = circuit[(j + 1) % len(circuit)][0]
-    w = tuple(tail for tail, _ in arcs)
-    for p, (_, head) in enumerate(arcs):
-        assert head == arcs[sigma[p]][0]
-    return Orientation(tuple(arcs), w, tuple(sigma))
+    o = _along(g, (tuple(circuit),))
+    assert all(head == o.w[o.sigma[p]] for p, (_, head) in enumerate(o.arcs))
+    return o
+
+
+def _along(g: EulerianGraph, cycles: tuple[tuple[Arc, ...], ...]) -> Orientation:
+    """The orientation running each edge as its cycle does, sigma the cycle successor."""
+    arcs: list[tuple[str, str]] = [("", "")] * g.n
+    sigma = [0] * g.n
+    for cycle in cycles:
+        for j, (i, tail, head) in enumerate(cycle):
+            arcs[i] = (tail, head)
+            sigma[i] = cycle[(j + 1) % len(cycle)][0]
+    return Orientation(tuple(arcs), tuple(tail for tail, _ in arcs), tuple(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +317,12 @@ def diagram_from_decomposition(g: EulerianGraph, dec: CycleDecomposition) -> Ter
     ref = orient_eulerian(g, seed=0)
     if not g.edges:
         return Empty()
-    arcs: dict[int, tuple[str, str]] = {}
-    succ: dict[int, int] = {}
-    for cycle in dec.cycles:
-        for j, (i, tail, head) in enumerate(cycle):
-            arcs[i] = (tail, head)
-            succ[i] = cycle[(j + 1) % len(cycle)][0]
-    flipped = [arcs[p] != ref.arcs[p] for p in range(g.n)]
-    negs = par(*(neg_t() if f else ident(T) for f in flipped))
-    sigma = tuple(succ[p] for p in range(g.n))
-    gates = par(*(gate_t((arcs[p][0],)) for p in range(g.n)))
-    out = seq(negs, _router(sigma), gates, _router(_inverse(sigma)), negs)
+    o = _along(g, dec.cycles)
+    negs = par(*(ident(T) if arc == ref_arc else neg_t() for arc, ref_arc in zip(o.arcs, ref.arcs)))
+    out = seq(negs, build_C_w_sigma(o.w, o.sigma), negs)
     if count_pbs(out) != 2 * (g.n - dec.r):
         raise AssertionError("reduction diagram misses 2(|edges| - r) PBS")
-    if not tables_equal(semantics_table(out), semantics_table(build_C_w_sigma(ref.w, ref.sigma))):
+    ref_table = semantics_table(to_netlist(build_C_w_sigma(ref.w, ref.sigma)))
+    if not tables_equal(semantics_table(to_netlist(out)), ref_table):
         raise AssertionError("reduction diagram changes the reference table")
     return out

@@ -1,7 +1,7 @@
 """Canonical forms: every bijective-action diagram equals a five-layer
 diagram (merge . permute . negate . gate . split) that is unique once
 the line order is fixed.  Synthesis reads the layers off the action
-table; equivalence of diagrams reduces to equality of the two forms.
+table; two diagrams are equal exactly when their tables (and forms) are.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .terms import (
     seq,
     split_vh,
     type_of,
+    type_str,
 )
 
 # ---------------------------------------------------------------------------
@@ -141,14 +142,17 @@ def _synthesize_nf(t: SemanticsTable) -> tuple[NormalForm, Netlist]:
 
 def normalize(d: Netlist | Term) -> NormalForm:
     """Normal form of a diagram, given as a term or as its netlist."""
-    return synthesize_nf(semantics_table(d))
+    return synthesize_nf(semantics_table(d if isinstance(d, Netlist) else to_netlist(d)))
 
 
 def equivalent(d1: Term, d2: Term) -> bool:
-    """Decide equality of diagrams (sound and complete for the calculus)."""
-    if type_of(d1) != type_of(d2):
-        raise TypeMismatch(f"{type_of(d1)} vs {type_of(d2)}")
-    return normalize(d1) == normalize(d2)
+    """Decide equality of diagrams (sound and complete for the calculus).  A
+    normal form is read off its table, so comparing the two tables decides."""
+    n1, n2 = to_netlist(d1), to_netlist(d2)
+    if (n1.in_type, n1.out_type) != (n2.in_type, n2.out_type):
+        sides = (f"{type_str(n.in_type)} -> {type_str(n.out_type)}" for n in (n1, n2))
+        raise TypeMismatch(" vs ".join(sides))
+    return tables_equal(semantics_table(n1), semantics_table(n2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .netlist import Netlist, to_term
+from .netlist import Netlist, to_netlist, to_term
 from .normal_form import _synthesize_nf
 from .rewrite import ProofStep, RuleInstance, _compile, match_at, splice
-from .semantics import SemanticsTable, _coerce, semantics_table, tables_equal
+from .semantics import SemanticsTable, semantics_table, tables_equal
 from .terms import GATE_KINDS, Term, Word, letter_counts, term_size
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def query_profile(d: Netlist | Term) -> QueryProfile:
     The letters are counted on the netlist's gate nodes, which are the
     term's gates one for one.
     """
-    n = _coerce(d)
+    n = d if isinstance(d, Netlist) else to_netlist(d)
     return _query_profile(n, semantics_table(n))
 
 
@@ -115,7 +115,7 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     netlist.  The output is certified to have the input's table and to
     query each letter exactly as often as that table's bound says.
     """
-    t = semantics_table(d)
+    t = semantics_table(to_netlist(d))
     bounds = query_lower_bounds(t)
     if letter_counts(d) == bounds:
         return d, []
@@ -171,7 +171,7 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     out = to_term(n)
     if letter_counts(out) != bounds:
         raise AssertionError("optimised diagram misses a query lower bound")
-    if not tables_equal(semantics_table(out), t):
+    if not tables_equal(semantics_table(to_netlist(out)), t):
         raise AssertionError("optimised diagram is not equivalent to its input")
     return out, steps
 

@@ -47,10 +47,6 @@ class SemanticsTable:
         return [(c, *self.entries[c]) for c in order]
 
 
-def _coerce(n: Netlist | Term) -> Netlist:
-    return n if isinstance(n, Netlist) else to_netlist(n)
-
-
 def chase(
     sink_at: Mapping[Source, Sink],
     nodes: Mapping[int, Gen] | Sequence[Gen],
@@ -105,7 +101,7 @@ def evaluate(n: Netlist | Term, start: Configuration) -> tuple[Configuration, Wo
     start, and NonTermination if the photon revisits a wire with the
     same polarisation (it would circle forever).
     """
-    n = _coerce(n)
+    n = n if isinstance(n, Netlist) else to_netlist(n)
     pol, pos = start
     if pol not in (V, H) or not 0 <= pos < len(n.in_type):
         raise InvalidConfiguration(f"no configuration {start!r} on {n.in_type!r}")
@@ -118,7 +114,7 @@ def evaluate(n: Netlist | Term, start: Configuration) -> tuple[Configuration, Wo
 
 def semantics_table(n: Netlist | Term) -> SemanticsTable:
     """The full action of a diagram on all admitted input configurations."""
-    n = _coerce(n)
+    n = n if isinstance(n, Netlist) else to_netlist(n)
     sink_at = n.sink_of()
     entries = {c: _exit(n, sink_at, c) for c in configurations(n.in_type)}
     return SemanticsTable(n.in_type, n.out_type, entries)

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import HasGates, NotBijective
-from .netlist import UnionFind
+from .netlist import UnionFind, to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
     Colour,
@@ -228,7 +228,7 @@ def _stair_walks(sc: Staircase) -> tuple[tuple[tuple[Edge, bool], ...], ...]:
     rotations without extra negations.  A staircase is a constant, so
     its walks are worked out once per process and shared read-only.
     """
-    edges = _edges_of(semantics_table(sc.as_term()))
+    edges = _edges_of(semantics_table(to_netlist(sc.as_term())))
     s = sc.size
     if sc.kind == "black_ladder":
         return tuple(_walk(edges, e, True) for e in edges)
@@ -405,7 +405,7 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
         tuple(sigma2[s] for s in range(off_out)),
     )
     result = sf.as_term()
-    if not tables_equal(semantics_table(result), t):
+    if not tables_equal(semantics_table(to_netlist(result)), t):
         raise AssertionError("stair form changes the action table")
     if not count_pbs(result) == sf.count_pbs() == pbs_lower_bound(t):
         raise AssertionError("stair form misses the PBS lower bound")

@@ -77,6 +77,13 @@ class TestSubcommands:
         assert code == 1
         assert "error:" in err
 
+    def test_equal_type_mismatch_names_both_types_as_check_does(self, files, capsys):
+        code, out, err = run(
+            capsys, "equal", files("a.cpbs", "id[T]"), files("b.cpbs", "id[V]")
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: (T) -> (T) vs (V) -> (V)\n"
+
     def test_opt_queries(self, files, capsys):
         three = "split ; (id[V] | gate[U,H]) ; merge ; neg ; split ; (id[V] | gate[V,H]) ; merge ; neg ; split ; (id[V] | gate[U,H]) ; merge"
         code, out, _ = run(capsys, "opt-queries", files("d.cpbs", three))
@@ -220,6 +227,34 @@ class TestDeterminism:
         code, out, _ = run(capsys, "check", "-")
         assert code == 0
         assert out == "(T,T) -> (T,T)\n"
+
+    @pytest.mark.parametrize("text", ["id[T]", "tr[T](id[T])"])
+    def test_stdin_for_both_diagrams_is_a_usage_error(self, capsys, monkeypatch, text):
+        import io
+
+        # stdin is read once: a second `-` would get empty text, the empty diagram
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "equal", "-", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: stdin (-) can be read for one input only\n"
+
+    def test_stdin_for_diagram_and_assignment_is_a_usage_error(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("gate[U]"))
+        code, out, err = run(capsys, "simulate", "-", "--assign", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: stdin (-) can be read for one input only\n"
+
+    def test_stdin_for_one_input_of_two_is_read(self, files, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("tr[T](id[T])"))
+        code, out, err = run(capsys, "equal", "-", files("d.cpbs", "id[T]"))
+        assert (code, out, err) == (1, "", "error: () -> () vs (T) -> (T)\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("U\t1,0\n"))
+        code, out, err = run(capsys, "simulate", files("g.cpbs", "gate[U]"), "--assign", "-")
+        assert (code, out, err) == (0, "1,0\t0,0\n0,0\t1,0\n", "")
 
 
 class TestParserReuse:

@@ -2,10 +2,11 @@
 
 `to_netlist` and `semantics_table` are wrapped with a counter at every
 place a `cpbs.*` module holds them, so a stage that rebuilds a netlist
-or a table it already has shows up as an extra call.  Rule sides are
-compiled once per (rule, direction) and shared, so they must never
-change under matching or application; staircase walks are likewise
-built once per staircase.
+or a table it already has shows up as an extra call.  Every table the
+library makes is of a netlist that the caller elaborated in plain
+sight.  Rule sides are compiled once per (rule, direction) and shared,
+so they must never change under matching or application; staircase
+walks are likewise built once per staircase.
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ import sys
 import pytest
 
 import cpbs.netlist
+import cpbs.normal_form
 import cpbs.rewrite
 import cpbs.semantics
+import cpbs.terms
 from cpbs import gallery
 from cpbs.cli import main
-from cpbs.netlist import to_netlist
+from cpbs.hardness import corpus, diagram_from_decomposition, max_ecd_bruteforce
+from cpbs.netlist import Netlist, to_netlist
 from cpbs.normal_form import normalize
+from cpbs.pgt import is_query_pbs_optimal_single
 from cpbs.query_opt import (
     is_query_optimal,
     optimize_queries,
@@ -28,11 +33,20 @@ from cpbs.query_opt import (
     query_profile,
 )
 from cpbs.randgen import random_diagram
-from cpbs.rewrite import _CHAINS, _compile, apply, find_matches, replay_derivation
+from cpbs.rewrite import _CHAINS, _compile, apply, check_soundness, find_matches, replay_derivation
 from cpbs.rules import ALL_RULE_IDS
 from cpbs.textform import print_term
 
 PATTERN_RULES = [r for r in ALL_RULE_IDS if not r.startswith("STRUCT")]
+
+
+def _wrap(monkeypatch, original, wrapper) -> None:
+    """Puts the wrapper in place of a `cpbs` function at every `cpbs.*` module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "cpbs" or name.startswith("cpbs."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
 
 
 def _count_calls(monkeypatch, original) -> list[int]:
@@ -44,11 +58,7 @@ def _count_calls(monkeypatch, original) -> list[int]:
         calls[0] += 1
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "cpbs" or name.startswith("cpbs."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _wrap(monkeypatch, original, counted)
     return calls
 
 
@@ -64,50 +74,150 @@ def table_calls(monkeypatch):
     return _count_calls(monkeypatch, cpbs.semantics.semantics_table)
 
 
+@pytest.fixture
+def typing_calls(monkeypatch):
+    """Counts `type_of` calls made through any `cpbs.*` module."""
+    return _count_calls(monkeypatch, cpbs.terms.type_of)
+
+
+COMMANDS = (
+    "check", "table", "normalize", "equal", "opt-queries",
+    "opt-pbs", "bounds", "simulate", "export-dot", "reduce-ecd",
+)
+DIAGRAMS = ("quantum_switch", "three_query_circuit")
+
+
+def _argv(command: str, diagram: str, tmp_path) -> list[str]:
+    """A command's arguments on the gallery diagram: `equal` compares it
+    with itself, `simulate` assigns a 1x1 matrix to each letter, and
+    `reduce-ecd` reads a triangle instead."""
+    path = tmp_path / f"{diagram}.cpbs"
+    path.write_text(print_term(getattr(gallery, diagram)()))
+    if command == "equal":
+        return [command, str(path), str(path)]
+    if command == "simulate":
+        assign = tmp_path / "assign.tsv"
+        assign.write_text("".join(f"{u}\t1,0\n" for u in ("U", "V", "W")))
+        return [command, str(path), "--assign", str(assign)]
+    if command == "reduce-ecd":
+        graph = tmp_path / "triangle.graph"
+        graph.write_text("A B\nB C\nC A\n")
+        return [command, str(graph)]
+    return [command, str(path)]
+
+
 # (diagram, command) -> to_netlist calls once the rule sides are compiled
 # and the staircases walked.
 # quantum_switch is query-optimal; three_query_circuit queries U twice
-# where once suffices.  opt-queries on three_query_circuit: the input, the
+# where once suffices.  check only types its input, export-dot draws its
+# netlist, and reduce-ecd builds a term.  normalize elaborates its input
+# and the form's table check; equal elaborates each side once.
+# opt-queries on three_query_circuit: the input, the
 # normal form's table check, whose netlist the rewrites then work on, and
 # the output's certificate table; the rewrites reuse the compiled
 # replacement sides.  opt-pbs adds the PGT cut's netlist of that output,
 # the stair form's table check and the PGT form's table check.
 ELABORATIONS = {
+    **{(d, "check"): 0 for d in DIAGRAMS},
+    **{(d, "table"): 1 for d in DIAGRAMS},
+    **{(d, "normalize"): 2 for d in DIAGRAMS},
+    **{(d, "equal"): 2 for d in DIAGRAMS},
     ("quantum_switch", "opt-queries"): 1,
     ("quantum_switch", "opt-pbs"): 4,
     ("quantum_switch", "bounds"): 1,
     ("three_query_circuit", "opt-queries"): 3,
     ("three_query_circuit", "opt-pbs"): 6,
     ("three_query_circuit", "bounds"): 1,
+    **{(d, "simulate"): 1 for d in DIAGRAMS},
+    **{(d, "export-dot"): 1 for d in DIAGRAMS},
+    **{(d, "reduce-ecd"): 0 for d in DIAGRAMS},
 }
 
 # (diagram, command) -> semantics_table calls on the same second run.
+# table, simulate and equal table each netlist they build; export-dot
+# tables nothing.  normalize tables its input and the form's check.
 # opt-queries: the input's table and, when it is not yet optimal, the
 # normal form's check and the output's certificate.  opt-pbs adds
 # to_pgt_form's table of the optimiser's output, the stair form's check
 # and the PGT form's certificate.  bounds tables its input once,
 # for both the query bounds and the PBS bound.
 TABLES = {
+    **{(d, "check"): 0 for d in DIAGRAMS},
+    **{(d, "table"): 1 for d in DIAGRAMS},
+    **{(d, "normalize"): 2 for d in DIAGRAMS},
+    **{(d, "equal"): 2 for d in DIAGRAMS},
     ("quantum_switch", "opt-queries"): 1,
     ("quantum_switch", "opt-pbs"): 4,
     ("quantum_switch", "bounds"): 1,
     ("three_query_circuit", "opt-queries"): 3,
     ("three_query_circuit", "opt-pbs"): 6,
     ("three_query_circuit", "bounds"): 1,
+    **{(d, "simulate"): 1 for d in DIAGRAMS},
+    **{(d, "export-dot"): 0 for d in DIAGRAMS},
+    **{(d, "reduce-ecd"): 0 for d in DIAGRAMS},
 }
 
 
 @pytest.mark.parametrize("diagram,command", sorted(ELABORATIONS))
 def test_command_elaborations(diagram, command, netlist_calls, table_calls, tmp_path, capsys):
-    path = tmp_path / "d.cpbs"
-    path.write_text(print_term(getattr(gallery, diagram)()))
-    assert main([command, str(path)]) == 0  # compiles the patterns, walks the staircases
+    argv = _argv(command, diagram, tmp_path)
+    assert main(argv) == 0  # compiles the patterns, walks the staircases
     first = capsys.readouterr().out
     netlist_calls[0] = table_calls[0] = 0
-    assert main([command, str(path)]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert netlist_calls[0] == ELABORATIONS[(diagram, command)]
     assert table_calls[0] == TABLES[(diagram, command)]
+
+
+@pytest.mark.parametrize("diagram", DIAGRAMS)
+def test_equal_neither_types_nor_normalises(diagram, typing_calls, monkeypatch, tmp_path, capsys):
+    # the boundary types are read off the two netlists, the tables decide
+    forms = _count_calls(monkeypatch, cpbs.normal_form.synthesize_nf)
+    assert main(_argv("equal", diagram, tmp_path)) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    assert typing_calls[0] == forms[0] == 0
+
+
+def test_check_soundness_does_not_type_the_rule_sides(typing_calls, table_calls):
+    # tables_equal compares the boundary types of the two sides' tables
+    assert check_soundness("AX2")
+    assert table_calls[0] > 0
+    assert typing_calls[0] == 0
+
+
+def test_single_query_certificate_elaborates_its_input_once(netlist_calls):
+    d = gallery.quantum_switch()
+    assert is_query_pbs_optimal_single(d)  # walks the staircases
+    netlist_calls[0] = 0
+    assert is_query_pbs_optimal_single(d)
+    # the input, the stair form's table check and the PGT form's table check
+    assert netlist_calls[0] == 3
+
+
+def test_the_library_tables_only_netlists(monkeypatch, tmp_path, capsys):
+    # every elaboration happens where a term is known: no library call hands
+    # semantics_table a term to elaborate out of sight
+    original = cpbs.semantics.semantics_table
+    args: list = []
+
+    def recorded(n):
+        args.append(n)
+        return original(n)
+
+    _wrap(monkeypatch, original, recorded)
+    for diagram in DIAGRAMS:
+        for command in COMMANDS:
+            assert main(_argv(command, diagram, tmp_path)) == 0
+    capsys.readouterr()
+    for rule_id in ALL_RULE_IDS:
+        assert check_soundness(rule_id)
+    for target in _CHAINS:
+        replay_derivation(target)
+    for g in corpus().values():
+        diagram_from_decomposition(g, max_ecd_bruteforce(g))
+    assert len(args) > 300  # 317: check_soundness alone tables 264 rule sides
+    assert all(type(n) is Netlist for n in args), {type(n).__name__ for n in args}
 
 
 def test_the_query_optimiser_neither_searches_nor_copies_a_netlist(monkeypatch):
