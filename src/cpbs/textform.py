@@ -303,6 +303,8 @@ def print_term(d: Term) -> str:
             out.append(t)
         elif op is None and type(t) is Gen:
             out.append(_gen_text(t))
+        elif op is None and type(t) not in (Seq, Trace):  # _parts took every Par and Empty
+            raise TypeError(f"not a diagram term: {type(t).__name__}")
         elif op is None:
             out.append(f"tr[{t.colour.value}](" if type(t) is Trace else "(")
             todo += ((")", str), (t.body if type(t) is Trace else t, Seq))

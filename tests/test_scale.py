@@ -27,6 +27,7 @@ from cpbs.quantum import MatrixLabel, interpret
 from cpbs.randgen import random_diagram
 from cpbs.rules import WVar, substitute
 from cpbs.semantics import semantics_table, tables_equal
+from cpbs.stairs import Staircase
 from cpbs.terms import (
     Colour,
     Gen,
@@ -203,6 +204,36 @@ def test_cli(shape, command, tmp_path, capsys):
     path.write_text(print_term(_big(shape, gate_t("U"))))
     assert main([command, str(path)]) == 0
     assert capsys.readouterr().out
+
+
+def _reduction_text(edges: int, tmp_path, capsys) -> str:
+    path = tmp_path / f"cycle{edges}.txt"
+    path.write_text("\n".join(f"v{i} v{(i + 1) % edges}" for i in range(edges)))
+    assert main(["reduce-ecd", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_reduction_text_is_linear_in_the_edges(tmp_path, capsys):
+    # an Eulerian circuit makes sigma one cycle: each router is one ladder
+    # with a rung per edge but one, which padded rungs made quadratic
+    size = {n: len(_reduction_text(n, tmp_path, capsys)) for n in (32, 64, 128)}
+    assert size[64] < 2.5 * size[32]
+    assert size[128] < 5 * size[32]
+    assert size[128] < 20_000
+
+
+def test_wide_ladder_round_trips_in_linear_time():
+    n = 1024
+    start = time.perf_counter()
+    d = Staircase("black_ladder", n).as_term()
+    back = parse(print_term(d))
+    t = semantics_table(to_netlist(back))
+    assert time.perf_counter() - start < 1.0
+    assert back == d
+    # the ladder fixes V and moves H from each wire to the one before, the first to the last
+    assert t.entries == {
+        (c, p): ((c, p if c == V else (p - 1) % (n + 1)), ()) for c in (V, H) for p in range(n + 1)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import cpbs
 from cpbs import stairs
 from cpbs.errors import HasGates, NotBijective
+from cpbs.netlist import netlists_isomorphic, to_netlist
 from cpbs.normal_form import NfLine, NormalForm
 from cpbs.randgen import random_diagram
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
@@ -24,10 +25,12 @@ from cpbs.stairs import (
 from cpbs.terms import (
     Colour,
     Empty,
+    Trace,
     count_neg,
     count_pbs,
     gate_t,
     ident,
+    identity_of,
     merge_hv,
     merge_vh,
     neg_t,
@@ -38,6 +41,7 @@ from cpbs.terms import (
     split_vh,
     swap,
 )
+from cpbs.textform import parse, print_term
 
 T, V, H = Colour.T, Colour.V, Colour.H
 
@@ -104,6 +108,81 @@ class TestStaircaseTables:
     def test_pbs_count_equals_size(self, kind):
         for size in range(1, 6):
             assert count_pbs(Staircase(kind, size).as_term()) == size
+
+
+KINDS = ["black_ladder", "red_ladder", "blue_ladder", "red_merge", "red_merge_inverse"]
+
+
+def padded_drawing(sc: Staircase):
+    """One layer per rung, an id on every wire the rung leaves alone."""
+    types = list(sc.in_type)
+    layers = []
+    for pos, g in sc._rungs():
+        a, b = g.signature()
+        layers.append(par(*map(ident, types[:pos]), g, *map(ident, types[pos + len(a):])))
+        types[pos : pos + len(a)] = b
+    return seq(*layers) if layers else identity_of(sc.in_type)
+
+
+class TestSideBySideDrawing:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_diagram_as_the_padded_drawing_and_never_longer(self, kind):
+        for size in range(1 if kind.startswith("red_merge") else 0, 65):
+            sc = Staircase(kind, size)
+            d, pad = sc.as_term(), padded_drawing(sc)
+            n = to_netlist(d)
+            assert netlists_isomorphic(n, to_netlist(pad)), size
+            assert tables_equal(semantics_table(n), semantics_table(to_netlist(pad))), size
+            text = print_term(d)
+            assert parse(text) == d
+            assert count_pbs(d) == size
+            assert len(text) <= len(print_term(pad)), size
+
+    def test_rungs_side_by_side_from_five(self):
+        assert print_term(Staircase("black_ladder", 4).as_term()) == print_term(
+            padded_drawing(Staircase("black_ladder", 4))
+        )
+        d = Staircase("black_ladder", 5).as_term()
+        assert isinstance(d, Trace) and "id[" not in print_term(d)
+        assert print_term(d).count("tr[T](") == 4
+
+
+# each patch breaks the drawing: a rung on the wrong colours, a rung list
+# ending on the wrong type, and a negation layer between unmatched colours
+BROKEN_DRAWINGS = [
+    ("Staircase._rungs = lambda self: [(0, pbs_tv_vt())]", 'Staircase("black_ladder", 1)'),
+    ("Staircase._rungs = lambda self: [(0, pbs4())] * self.size", 'Staircase("red_ladder", 9)'),
+    ("Staircase._rungs = lambda self: []", 'Staircase("red_ladder", 1)'),
+    ("Staircase._rungs = lambda self: [(0, merge_hv())]", 'Staircase("red_merge", 6)'),
+    ("", 'StairForm((T,), (T,), (0,), (False,), (Staircase("red_ladder", 0),), (False,), (0,))'),
+    ("", 'StairForm((T,), (V,), (0,), (True,), (Staircase("red_ladder", 0),), (True,), (0,))'),
+]
+
+
+def test_broken_drawings_raise_under_optimisation():
+    script = (
+        "from cpbs.stairs import Staircase, StairForm\n"
+        "from cpbs.terms import Colour, merge_hv, pbs4, pbs_tv_vt\n"
+        "T, V, H = Colour.T, Colour.V, Colour.H\n"
+        "original = Staircase._rungs\n"
+        f"for patch, case in {BROKEN_DRAWINGS!r}:\n"
+        "    Staircase._rungs = original\n"
+        "    exec(patch)\n"
+        "    try:\n"
+        "        eval(case).as_term()\n"
+        "    except AssertionError as e:\n"
+        "        print('raised', e)\n"
+        "    else:\n"
+        "        print('drawn', case)\n"
+    )
+    src = str(Path(cpbs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    lines = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert len(lines) == len(BROKEN_DRAWINGS)
+    assert all(line.startswith("raised ") for line in lines), lines
 
 
 class TestLowerBound:

@@ -1,7 +1,13 @@
 """Text syntax: grammar coverage, round trips, error locations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cpbs
 from cpbs.netlist import netlists_isomorphic, to_netlist
 from cpbs.randgen import random_diagram
 from cpbs.terms import (
@@ -194,6 +200,30 @@ class TestPrint:
 
     def test_empty_prints_empty(self):
         assert print_term(Empty()) == ""
+
+    def test_a_bare_term_raises_type_error(self):
+        # run apart, with a deadline and a memory cap: a printer that loops on
+        # a term it cannot print fails the test instead of eating the machine
+        script = (
+            "import resource\n"
+            "from cpbs.terms import Par, Term, pbs4\n"
+            "from cpbs.textform import print_term\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+            "for d in (Term(), Par(pbs4(), Term()), 3):\n"
+            "    try:\n"
+            "        print_term(d)\n"
+            "    except TypeError as e:\n"
+            "        print(e)\n"
+        )
+        src = str(Path(cpbs.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "not a diagram term: Term", "not a diagram term: Term", "not a diagram term: int",
+        ]
 
     def test_gate_colours(self):
         assert print_term(gate_v("U")) == "gate[U,V]"
