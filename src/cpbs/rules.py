@@ -3,8 +3,10 @@
 Each rule is a pair of well-typed terms over the same boundary type.
 Gate words in rule sides may contain word variables (WVar), which the
 matcher binds to concrete letter sequences; a variable appearing twice
-(AX5, DER21..24) forces equal words.  Sequencing is trajectory order:
-Seq(a, b) means a first, then b.
+(AX5, DER21..24) forces equal words.  rewrite.check_soundness tables
+each side as it stands, a variable read as one more letter, which also
+checks that both sides have one boundary type.  Sequencing is
+trajectory order: Seq(a, b) means a first, then b.
 
 The STRUCT entries (yanking, dinaturality, swap naturality) hold by
 construction in the wire-level representation, so they rewrite nothing;
@@ -41,7 +43,6 @@ from .terms import (
     split_hv,
     split_vh,
     swap,
-    type_of,
 )
 
 T, V, H = Colour.T, Colour.V, Colour.H
@@ -213,13 +214,13 @@ ALL_RULE_IDS = AXIOM_IDS + DERIVED_IDS + ANCILLARY_IDS + STRUCT_IDS
 
 
 def word_vars(t: Term) -> dict[str, WVar]:
-    """All word variables of a term, by name."""
+    """All word variables of a term, by name; ValueError on a name with two constraints."""
     out: dict[str, WVar] = {}
     for g in generators(t):
         for el in g.word:
             if isinstance(el, WVar):
-                prev = out.setdefault(el.name, el)
-                assert prev == el, f"conflicting constraints on variable {el.name}"
+                if out.setdefault(el.name, el) != el:
+                    raise ValueError(f"conflicting constraints on variable {el.name}")
     return out
 
 
@@ -239,16 +240,3 @@ def substitute(t: Term, binding: dict[str, tuple[str, ...]]) -> Term:
 
     return fold(t, gen, Seq, Par, Trace, Empty())
 
-
-def _check_rule_types() -> None:
-    for r in _RULE_LIST:
-        binding = {
-            name: tuple(f"x{k}" for k in range(v.exact or max(v.min_len, 1)))
-            for name, v in {**word_vars(r.lhs), **word_vars(r.rhs)}.items()
-        }
-        lt = type_of(substitute(r.lhs, binding))
-        rt = type_of(substitute(r.rhs, binding))
-        assert lt == rt, f"{r.rule_id}: {lt} vs {rt}"
-
-
-_check_rule_types()

@@ -9,7 +9,7 @@ Grammar::
     gen  := 'id[' type ']' | 'swap[' type ',' type ']'
           | 'perm[' type (',' type)* ';' slot (',' slot)* ']'
           | 'neg' | 'neg[VH]' | 'neg[HV]'
-          | 'gate[' word (',' type)? ']'
+          | 'gate[' word? (',' type)? ']'
           | 'pbs' | 'pbs[' sig ']'
           | 'split' | 'split[HV]' | 'merge' | 'merge[HV]'
     sig  := 'TV.VT' | 'VT.TV' | 'HT.HT' | 'TH.TH'
@@ -21,8 +21,10 @@ Grammar::
 colour, leaves at output slot i of the slot list (T at 2, V at 0, H
 at 1), so its output type is (V,H,T).  Bare
 ``split`` and ``merge`` are the V-over-H variants; ``pbs`` is the
-all-black four-port splitter.  Whitespace and ``#`` comments are
-ignored.  An empty source denotes the empty diagram.
+all-black four-port splitter.  ``gate[]`` and ``gate[,V]`` are gates
+with the empty word.  Whitespace between tokens and ``#`` comments are
+ignored; a generator's brackets take no whitespace (``gate[U,V]``, not
+``gate[U, V]``).  An empty source denotes the empty diagram.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ def _gen(text: str) -> Gen:
     if name == "gate":
         if payload is None:
             raise SyntaxError("gate needs a word, as in gate[U.V]")
-        word_part, _, colour_part = payload.partition(",")
-        c = _COLOUR_OF.get(colour_part or "T")
+        word_part, comma, colour_part = payload.partition(",")
+        c = _COLOUR_OF.get(colour_part) if comma else Colour.T
         if c is None:
             raise SyntaxError(f"bad gate colour {colour_part!r}")
         return Gen(GATE_FOR[c], _word(word_part))

@@ -63,10 +63,10 @@ def _run_cli(*argv: str) -> tuple[int, bytes]:
 
 def test_criterion_1_rule_soundness():
     t0 = time.perf_counter()
-    unsound = [rid for rid in ALL_RULE_IDS if not check_soundness(rid, samples=5, seed=0)]
+    unsound = [rid for rid in ALL_RULE_IDS if not check_soundness(rid)]
     dt = time.perf_counter() - t0
     ok = not unsound and dt < 5.0
-    _report(1, ok, f"{len(ALL_RULE_IDS)} rules x 5 instantiations in {dt:.2f}s")
+    _report(1, ok, f"{len(ALL_RULE_IDS)} rules, one table comparison each, in {dt:.2f}s")
     assert not unsound, unsound
     assert dt < 5.0
 

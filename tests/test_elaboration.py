@@ -186,6 +186,13 @@ def test_check_soundness_does_not_type_the_rule_sides(typing_calls, table_calls)
     assert typing_calls[0] == 0
 
 
+@pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
+def test_check_soundness_tables_each_rule_side_once(rule_id, netlist_calls, table_calls):
+    # the sides are tabled as they stand, word variables and all
+    assert check_soundness(rule_id)
+    assert netlist_calls[0] == table_calls[0] == 2
+
+
 def test_single_query_certificate_elaborates_its_input_once(netlist_calls):
     d = gallery.quantum_switch()
     assert is_query_pbs_optimal_single(d)  # walks the staircases
@@ -216,7 +223,7 @@ def test_the_library_tables_only_netlists(monkeypatch, tmp_path, capsys):
         replay_derivation(target)
     for g in corpus().values():
         diagram_from_decomposition(g, max_ecd_bruteforce(g))
-    assert len(args) > 300  # 317: check_soundness alone tables 264 rule sides
+    assert len(args) > 100  # 134 in suite order, 135 alone: check_soundness tables 82 rule sides
     assert all(type(n) is Netlist for n in args), {type(n).__name__ for n in args}
 
 

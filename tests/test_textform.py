@@ -121,6 +121,7 @@ class TestErrors:
             ("perm[X;0]", "expected a colour"),
             ("gate", "gate needs a word"),
             ("gate[U,Q]", "bad gate colour"),
+            ("gate[U,]", "line 1 col 1: bad gate colour ''"),
             ("gate[U..V]", "bad oracle letter"),
             ("(pbs", r"expected '\)'"),
             ("pbs |", "expected a diagram"),
