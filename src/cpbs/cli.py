@@ -18,8 +18,8 @@ from .errors import CpbsError, HasGates
 from .hardness import build_C_w_sigma, orient_eulerian, parse_graph
 from .netlist import to_netlist
 from .normal_form import equivalent, normalize
-from .pgt import to_pgt_form
-from .query_opt import _query_profile, optimize_queries
+from .pgt import _to_pgt_form
+from .query_opt import _optimize_queries, _query_profile, optimize_queries
 from .semantics import semantics_table
 from .stairs import pbs_lower_bound
 from .terms import Colour, Term, count_pbs, type_of, type_str
@@ -187,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "opt-queries":
             print(print_term(optimize_queries(_load(args.file))))
         elif args.command == "opt-pbs":
-            print(print_term(to_pgt_form(optimize_queries(_load(args.file))).as_term()))
+            n, t, _ = _optimize_queries(_load(args.file))
+            print(print_term(_to_pgt_form(n, t).as_term()))
         elif args.command == "bounds":
             print(_bounds_text(_load(args.file)))
         elif args.command == "simulate":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NotFound, NotQueryOptimal, PreconditionViolated
 from .netlist import Netlist, to_netlist
-from .query_opt import query_lower_bounds
+from .query_opt import _queries, query_lower_bounds
 from .semantics import SemanticsTable, chase, semantics_table, tables_equal
 from .stairs import StairForm, synthesize_stair_form
 from .terms import (
@@ -105,21 +105,30 @@ def _residual_table(n: Netlist, cut: dict[int, Colour]) -> SemanticsTable:
 def to_pgt_form(d: Term) -> PgtForm:
     """Cut the gates out, stair-synthesise the rest, trace the gates back."""
     n = to_netlist(d)
-    t = semantics_table(n)
-    if letter_counts(d) != query_lower_bounds(t):
+    return _to_pgt_form(n, semantics_table(n))
+
+
+def _to_pgt_form(n: Netlist, t: SemanticsTable) -> PgtForm:
+    """to_pgt_form of a netlist whose table is at hand; the form is certified against it."""
+    queries = _queries(n)
+    if queries != query_lower_bounds(t):
         raise NotQueryOptimal("diagram does not meet its query lower bounds")
     cut = _cut_gates(n)
     core = synthesize_stair_form(_residual_table(n, cut))
     gates = tuple(Gen(GATE_FOR[c], n.nodes[nid].word) for nid, c in cut.items())
     form = PgtForm(gates, core)
-    out = form.as_term()
-    if not tables_equal(semantics_table(to_netlist(out)), t):
+    out = to_netlist(form.as_term())
+    if not tables_equal(semantics_table(out), t):
         raise AssertionError("PGT form changes the action table")
-    if count_pbs(out) > count_pbs(d):
+    if _pbs(out) > _pbs(n):
         raise AssertionError("PGT form uses more PBS than its input")
-    if letter_counts(out) != letter_counts(d):
+    if _queries(out) != queries:
         raise AssertionError("PGT form changes the query counts")
     return form
+
+
+def _pbs(n: Netlist) -> int:
+    return sum(node.kind in PBS_KINDS for node in n.nodes.values())
 
 
 def is_query_pbs_optimal_single(d: Term) -> bool:

@@ -18,7 +18,7 @@ from .netlist import Netlist, to_netlist, to_term
 from .normal_form import _synthesize_nf
 from .rewrite import ProofStep, RuleInstance, _compile, match_at, splice
 from .semantics import SemanticsTable, semantics_table, tables_equal
-from .terms import GATE_KINDS, Term, Word, letter_counts, term_size
+from .terms import GATE_KINDS, Term, Word, term_size
 
 # ---------------------------------------------------------------------------
 # counting and the lower bound
@@ -62,12 +62,14 @@ def query_profile(d: Netlist | Term) -> QueryProfile:
 def _query_profile(n: Netlist, t: SemanticsTable) -> QueryProfile:
     """query_profile of a netlist whose table is already at hand."""
     bounds = query_lower_bounds(t)
-    queries: Counter[str] = Counter()
-    for node in n.nodes.values():
-        if node.kind in GATE_KINDS:
-            queries.update(node.word)
+    queries = _queries(n)
     counts = {u: queries[u] for u in sorted(set(queries) | set(bounds))}
     return QueryProfile(counts, bounds)
+
+
+def _queries(n: Netlist) -> Counter[str]:
+    """Queries per letter, read off the netlist's gate nodes."""
+    return Counter(u for node in n.nodes.values() if node.kind in GATE_KINDS for u in node.word)
 
 
 def is_query_optimal(d: Netlist | Term) -> bool:
@@ -115,10 +117,26 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     netlist.  The output is certified to have the input's table and to
     query each letter exactly as often as that table's bound says.
     """
-    t = semantics_table(to_netlist(d))
-    bounds = query_lower_bounds(t)
-    if letter_counts(d) == bounds:
+    n, t, steps = _optimize_queries(d)
+    if not steps:
         return d, []
+    out = to_term(n)
+    m = to_netlist(out)
+    if _queries(m) != query_lower_bounds(t):
+        raise AssertionError("optimised diagram misses a query lower bound")
+    if not tables_equal(semantics_table(m), t):
+        raise AssertionError("optimised diagram is not equivalent to its input")
+    return out, steps
+
+
+def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[ProofStep]]:
+    """optimize_queries_traced's rewritten netlist (the input's own if already
+    optimal), the input's table and the steps; only the queries are certified."""
+    n = to_netlist(d)
+    t = semantics_table(n)
+    bounds = query_lower_bounds(t)
+    if _queries(n) == bounds:
+        return n, t, []
     budget = 10 * max(1, term_size(d)) ** 2
     # every site below is named before its step, so nothing searches the
     # whole netlist: the normal form's netlist is rewritten in place, and
@@ -168,12 +186,9 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     labels = [w for w, _ in _nonblack_gates(n)]
     if len(labels) != len(set(labels)) or any(len(w) != 1 for w in labels):
         raise AssertionError("fused gates must carry distinct single letters")
-    out = to_term(n)
-    if letter_counts(out) != bounds:
+    if _queries(n) != bounds:
         raise AssertionError("optimised diagram misses a query lower bound")
-    if not tables_equal(semantics_table(to_netlist(out)), t):
-        raise AssertionError("optimised diagram is not equivalent to its input")
-    return out, steps
+    return n, t, steps
 
 
 def optimize_queries(d: Term) -> Term:

@@ -277,40 +277,30 @@ def _stair_walks(sc: Staircase) -> tuple[tuple[tuple[Edge, bool], ...], ...]:
     """Candidate walks through the staircase's own table.
 
     Paths have a single admissible start; the all-black cycle may begin
-    at any edge, which is what lets the slot assignment soak up wire
-    rotations without extra negations.  A staircase is a constant, so
-    its walks are worked out once per process and shared read-only.
+    at any edge, which lets the slot assignment soak up wire rotations
+    without extra negations.  Its walks alternate colours, so all from
+    edges of one colour align with one negation count: the first from an
+    H and from a V edge stand for them.  A staircase is a constant, so its
+    walks are worked out once per process and shared read-only.
     """
     edges = _edges_of(semantics_table(to_netlist(sc.as_term())))
     s = sc.size
     if sc.kind == "black_ladder":
-        return tuple(_walk(edges, e, True) for e in edges)
-    if sc.kind == "red_ladder":
-        start = next(e for e in edges if e[:2] == (V, s))
-    elif sc.kind == "blue_ladder":
-        start = next(e for e in edges if e[:2] == (H, s))
-    elif sc.kind == "red_merge":
-        start = next(e for e in edges if e[:2] == (H, 0))
-    else:
-        start = next(e for e in edges if e[2:] == (H, 0))
-        return (_walk(edges, start, False),)
-    return (_walk(edges, start, True),)
+        return tuple(_walk(edges, next(e for e in edges if e[0] == c), True) for c in (H, V))
+    if sc.kind == "red_merge_inverse":  # walked back from its blue output
+        return (_walk(edges, next(e for e in edges if e[2:] == (H, 0)), False),)
+    start = {"red_ladder": (V, s), "blue_ladder": (H, s), "red_merge": (H, 0)}[sc.kind]
+    return (_walk(edges, next(e for e in edges if e[:2] == start), True),)
 
 
 def _block_walks(t: SemanticsTable, ins, outs, case: int) -> list[tuple[tuple[Edge, bool], ...]]:
     """Candidate walks through one block, starting from each admissible end."""
-    edges = [e for e in _edges_of(t) if e[1] in ins]
+    edges = sorted((c, p, *t.entries[c, p][0]) for p in ins for c in (H, V) if (c, p) in t.entries)
     if case == 1:
-        start = next(e for e in edges if e[:2] == (V, min(ins)))
-        return [_walk(edges, start, True)]
-    if case == 2:
-        p0 = next(p for p in ins if t.in_type[p] != T)
-        return [_walk(edges, next(e for e in edges if e[1] == p0), True)]
-    if case == 3:
-        coloured = sorted(p for p in ins if t.in_type[p] != T)
-        return [_walk(edges, next(e for e in edges if e[1] == p0), True) for p0 in coloured]
-    coloured = sorted(q for q in outs if t.out_type[q] != T)
-    return [_walk(edges, next(e for e in edges if e[3] == q0), False) for q0 in coloured]
+        return [_walk(edges, next(e for e in edges if e[:2] == (V, ins[0])), True)]
+    if case < 4:  # from its one or two coloured inputs, in position order
+        return [_walk(edges, next(e for e in edges if e[1] == p), True) for p in ins if t.in_type[p] != T]
+    return [_walk(edges, next(e for e in edges if e[3] == q), False) for q in outs if t.out_type[q] != T]
 
 
 def _align(bw, sw):
@@ -324,6 +314,7 @@ def _align(bw, sw):
     s_out: dict[int, int] = {}
     pre: dict[int, bool] = {}
     post: dict[int, bool] = {}
+    assert len(bw) == len(sw), "walk shapes differ"
     for (be, bd), (se, sd) in zip(bw, sw):
         assert bd == sd
         cbi, p, cbo, q = be
@@ -429,15 +420,9 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
     off_in = off_out = 0
     for (ins, outs), case in zip(pa.blocks, pa.case_of_block):
         sc = _staircase_for(t, ins, outs, case)
-        best = None
         stair_walks = _stair_walks(sc)
-        for bw in _block_walks(t, ins, outs, case):
-            for sw in stair_walks:
-                assert len(bw) == len(sw), "walk shapes differ"
-                fit = _align(bw, sw)
-                if best is None or fit[0] < best[0]:
-                    best = fit
-        _, s_in, s_out, b_pre, b_post = best
+        fits = (_align(bw, sw) for bw in _block_walks(t, ins, outs, case) for sw in stair_walks)
+        _, s_in, s_out, b_pre, b_post = min(fits, key=lambda fit: fit[0])  # the first of the fewest
         for p, s in s_in.items():
             sigma1[p] = off_in + s
             pre[off_in + s] = b_pre[s]
@@ -460,6 +445,6 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
     result = sf.as_term()
     if not tables_equal(semantics_table(to_netlist(result)), t):
         raise AssertionError("stair form changes the action table")
-    if not count_pbs(result) == sf.count_pbs() == pbs_lower_bound(t):
+    if not count_pbs(result) == sf.count_pbs() == (len(t.out_type) - pa.k) + pa.s_L:
         raise AssertionError("stair form misses the PBS lower bound")
     return sf

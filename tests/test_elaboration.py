@@ -115,18 +115,19 @@ def _argv(command: str, diagram: str, tmp_path) -> list[str]:
 # opt-queries on three_query_circuit: the input, the
 # normal form's table check, whose netlist the rewrites then work on, and
 # the output's certificate table; the rewrites reuse the compiled
-# replacement sides.  opt-pbs adds the PGT cut's netlist of that output,
-# the stair form's table check and the PGT form's table check.
+# replacement sides.  opt-pbs draws no output: the PGT step takes the
+# rewritten netlist, or the input's own if it is already optimal, and
+# adds the stair form's table check and the PGT form's table check.
 ELABORATIONS = {
     **{(d, "check"): 0 for d in DIAGRAMS},
     **{(d, "table"): 1 for d in DIAGRAMS},
     **{(d, "normalize"): 2 for d in DIAGRAMS},
     **{(d, "equal"): 2 for d in DIAGRAMS},
     ("quantum_switch", "opt-queries"): 1,
-    ("quantum_switch", "opt-pbs"): 4,
+    ("quantum_switch", "opt-pbs"): 3,
     ("quantum_switch", "bounds"): 1,
     ("three_query_circuit", "opt-queries"): 3,
-    ("three_query_circuit", "opt-pbs"): 6,
+    ("three_query_circuit", "opt-pbs"): 4,
     ("three_query_circuit", "bounds"): 1,
     **{(d, "simulate"): 1 for d in DIAGRAMS},
     **{(d, "export-dot"): 1 for d in DIAGRAMS},
@@ -137,20 +138,21 @@ ELABORATIONS = {
 # table, simulate and equal table each netlist they build; export-dot
 # tables nothing.  normalize tables its input and the form's check.
 # opt-queries: the input's table and, when it is not yet optimal, the
-# normal form's check and the output's certificate.  opt-pbs adds
-# to_pgt_form's table of the optimiser's output, the stair form's check
-# and the PGT form's certificate.  bounds tables its input once,
-# for both the query bounds and the PBS bound.
+# normal form's check and the output's certificate.  opt-pbs tables the
+# input and, when it is not yet optimal, the normal form's check; then
+# the stair form's check and the PGT form's certificate against the
+# input's table, which stands for the whole chain.  bounds tables its
+# input once, for both the query bounds and the PBS bound.
 TABLES = {
     **{(d, "check"): 0 for d in DIAGRAMS},
     **{(d, "table"): 1 for d in DIAGRAMS},
     **{(d, "normalize"): 2 for d in DIAGRAMS},
     **{(d, "equal"): 2 for d in DIAGRAMS},
     ("quantum_switch", "opt-queries"): 1,
-    ("quantum_switch", "opt-pbs"): 4,
+    ("quantum_switch", "opt-pbs"): 3,
     ("quantum_switch", "bounds"): 1,
     ("three_query_circuit", "opt-queries"): 3,
-    ("three_query_circuit", "opt-pbs"): 6,
+    ("three_query_circuit", "opt-pbs"): 4,
     ("three_query_circuit", "bounds"): 1,
     **{(d, "simulate"): 1 for d in DIAGRAMS},
     **{(d, "export-dot"): 0 for d in DIAGRAMS},
@@ -168,6 +170,17 @@ def test_command_elaborations(diagram, command, netlist_calls, table_calls, tmp_
     assert capsys.readouterr().out == first
     assert netlist_calls[0] == ELABORATIONS[(diagram, command)]
     assert table_calls[0] == TABLES[(diagram, command)]
+
+
+@pytest.mark.parametrize("diagram", DIAGRAMS)
+def test_opt_pbs_draws_no_term(diagram, monkeypatch, tmp_path, capsys):
+    # the optimiser hands its netlist to the PGT step; opt-queries draws it
+    drawings = _count_calls(monkeypatch, cpbs.netlist.to_term)
+    assert main(_argv("opt-pbs", diagram, tmp_path)) == 0
+    assert drawings[0] == 0
+    assert main(_argv("opt-queries", diagram, tmp_path)) == 0
+    assert drawings[0] == (diagram == "three_query_circuit")
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)

@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import cpbs
+import cpbs.gallery
 import cpbs.pgt as pgt
+from cpbs.cli import main
 from cpbs.errors import NotFound, NotQueryOptimal, PreconditionViolated
+from cpbs.hardness import build_C_w_sigma, orient_eulerian, parse_graph
 from cpbs.normal_form import equivalent
 from cpbs.pgt import (
     PgtForm,
@@ -50,7 +53,7 @@ from cpbs.terms import (
     split_vh,
     swap,
 )
-from cpbs.textform import parse
+from cpbs.textform import parse, print_term
 
 T, V, H = Colour.T, Colour.V, Colour.H
 
@@ -236,6 +239,53 @@ class TestToPgtForm:
             "raised: optimised diagram is not equivalent to its input",
         ]
 
+    def test_opt_pbs_handoff_is_certified_under_optimised_python(self, tmp_path):
+        # opt-pbs hands the optimiser's netlist to the PGT step undrawn: a
+        # netlist of another table must fail the PGT form's certificate, and
+        # one with an extra query the optimiser's own check, not NotQueryOptimal
+        paths = {}
+        for name in ("quantum_switch", "three_query_circuit"):
+            paths[name] = tmp_path / f"{name}.cpbs"
+            paths[name].write_text(print_term(getattr(cpbs.gallery, name)()))
+        script = textwrap.dedent(
+            f"""
+            import cpbs.cli as cli
+            import cpbs.query_opt as query_opt
+            from cpbs.netlist import to_netlist
+            from cpbs.terms import gate_t, seq
+
+            def run(path):
+                try:
+                    print("returned", cli.main(["opt-pbs", path]))
+                except AssertionError as e:
+                    print("raised:", e)
+
+            real_core = cli._optimize_queries
+            # the switch's queries, one U and one V, but U before V on both photons
+            cli._optimize_queries = lambda d: (to_netlist(seq(gate_t("U"), gate_t("V"))),
+                                               *real_core(d)[1:])
+            run({str(paths["quantum_switch"])!r})
+            cli._optimize_queries = real_core
+
+            real_nf = query_opt._synthesize_nf
+
+            def with_traced_gate(t):
+                # a gate_t[W] fed back onto itself: no photon reaches it
+                nf, n = real_nf(t)
+                k = max(n.nodes) + 1
+                n.nodes[k] = gate_t("W")
+                n.wires[("nin", k, 0)] = ("nout", k, 0)
+                return nf, n
+
+            query_opt._synthesize_nf = with_traced_gate
+            run({str(paths["three_query_circuit"])!r})
+            """
+        )
+        assert _run_optimised(script) == [
+            "raised: PGT form changes the action table",
+            "raised: optimised diagram misses a query lower bound",
+        ]
+
     def test_unbounded_query_fails_the_certificate_under_optimised_python(self):
         # the output keeps its table but queries W, which has no bound
         script = textwrap.dedent(
@@ -288,6 +338,34 @@ class TestToPgtForm:
             "raised: stair form changes the action table",
             "raised: reduction diagram misses 2(|edges| - r) PBS",
         ]
+
+
+GALLERY = (
+    "quantum_switch", "three_query_circuit", "half_switch_traced", "half_switch_lean",
+    "worked_example", "worked_example_query_optimal", "worked_example_pgt",
+    "two_query_pbs_free", "one_query_two_pbs", "repeated_switch", "fused_double_gate",
+)
+
+
+def _reduction(graph_text: str):
+    o = orient_eulerian(parse_graph(graph_text))
+    return build_C_w_sigma(o.w, o.sigma)
+
+
+def test_opt_pbs_prints_the_public_composition(tmp_path, capsys):
+    # the command runs on the optimiser's netlist; the public functions draw
+    # the optimised term and elaborate it again, and must print the same
+    cycle = "".join(f"v{i} v{(i + 1) % 16}\n" for i in range(16))
+    walk = "a b\nb c\nc a\na d\nd c\nc b\nb d\nd a\n"
+    diagrams = [getattr(cpbs.gallery, name)() for name in GALLERY]
+    diagrams += [random_diagram(seed) for seed in range(100)]
+    diagrams += [_reduction(text) for text in (cycle, walk, "A B\nB C\nC A")]
+    path = tmp_path / "d.cpbs"
+    for d in diagrams:
+        path.write_text(print_term(d))
+        assert main(["opt-pbs", str(path)]) == 0
+        expected = print_term(to_pgt_form(optimize_queries(d)).as_term())
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestSingleQueryCertificate:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,83 @@ class TestSynthesis:
             assert stair_negs == 0
             total = count_neg(sf.as_term())
             assert total == sum(sf.pre_negs) + sum(sf.post_negs)
+
+
+# ---------------------------------------------------------------------------
+# the alignment against every walk, kept as the reference
+# ---------------------------------------------------------------------------
+
+_one_walk_per_colour = stairs._stair_walks
+
+
+def _every_walk(sc: Staircase):
+    """A black ladder's walk from each of its table's edges, 2s + 2 of them."""
+    if sc.kind != "black_ladder":
+        return _one_walk_per_colour(sc)
+    edges = stairs._edges_of(semantics_table(to_netlist(sc.as_term())))
+    return tuple(stairs._walk(edges, e, True) for e in edges)
+
+
+def _block_walks_from_the_whole_table(t, ins, outs, case):
+    edges = [e for e in stairs._edges_of(t) if e[1] in ins]
+    if case == 1:
+        return [stairs._walk(edges, next(e for e in edges if e[:2] == (V, min(ins))), True)]
+    if case in (2, 3):
+        coloured = sorted(p for p in ins if t.in_type[p] != T)
+        return [stairs._walk(edges, next(e for e in edges if e[1] == p), True) for p in coloured]
+    coloured = sorted(q for q in outs if t.out_type[q] != T)
+    return [stairs._walk(edges, next(e for e in edges if e[3] == q), False) for q in coloured]
+
+
+def _scrambled_staircases():
+    import random
+
+    from cpbs.terms import permute
+
+    rng = random.Random(5)
+    for kind in ("black_ladder", "red_ladder", "blue_ladder", "red_merge", "red_merge_inverse"):
+        for size in range(1, 9):
+            for _ in range(3):
+                sc = Staircase(kind, size)
+                perm = rng.sample(range(len(sc.out_type)), len(sc.out_type))
+                pre = par(*(neg_t() if c == T and rng.random() < 0.5 else ident(c)
+                            for c in sc.in_type))
+                yield semantics_table(seq(pre, sc.as_term(), *permute(sc.out_type, perm)))
+
+
+def _reduction_residuals():
+    from cpbs.hardness import build_C_w_sigma, corpus, orient_eulerian, parse_graph
+    from cpbs.pgt import _cut_gates, _residual_table
+
+    graphs = list(corpus().values())
+    graphs += [parse_graph("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n))) for n in (8, 16, 33)]
+    for g in graphs:
+        o = orient_eulerian(g)
+        n = to_netlist(build_C_w_sigma(o.w, o.sigma))
+        yield _residual_table(n, _cut_gates(n))
+
+
+def test_two_walks_per_black_ladder_give_every_walks_stair_form(monkeypatch):
+    tables = [semantics_table(random_diagram(seed, max_generators=16, max_wires=4, gate_free=True))
+              for seed in range(200)]
+    tables += [*_scrambled_staircases(), *_reduction_residuals()]
+    fewer_negations = Counter()  # which start colour a black block aligns better with
+    for t in tables:
+        sf = synthesize_stair_form(t)
+        with monkeypatch.context() as m:
+            m.setattr(stairs, "_stair_walks", _every_walk)
+            m.setattr(stairs, "_block_walks", _block_walks_from_the_whole_table)
+            assert synthesize_stair_form(t) == sf
+        pa = partition_analysis(t)
+        fewest = 0  # the least negation count over every pair of walks, block by block
+        for (ins, outs), case, sc in zip(pa.blocks, pa.case_of_block, sf.cases):
+            walks = _block_walks_from_the_whole_table(t, ins, outs, case)
+            fewest += min(stairs._align(bw, sw)[0] for bw in walks for sw in _every_walk(sc))
+            if case == 1:
+                h, v = (stairs._align(walks[0], sw)[0] for sw in stairs._stair_walks(sc))
+                fewer_negations["H" if h < v else "V" if v < h else "tie"] += 1
+        assert sum(sf.pre_negs) + sum(sf.post_negs) == fewest
+    assert min(fewer_negations[k] for k in ("H", "V", "tie")) >= 10, fewer_negations
 
 
 # constructor calls that must raise ValueError, also with assertions stripped
