@@ -11,7 +11,6 @@ from .errors import (
     InvalidDecomposition,
     LengthMismatch,
     MissingAssignment,
-    NonTermination,
     NotBijective,
     NotEulerian,
     NotFound,

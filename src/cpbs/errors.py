@@ -12,10 +12,6 @@ class CpbsError(Exception):
     """Base class for library-specific failures."""
 
 
-class NonTermination(CpbsError):
-    """A particle revisits a (wire, polarisation) state, so it loops forever."""
-
-
 class InvalidConfiguration(CpbsError):
     """A start configuration is not admitted by the diagram input type."""
 

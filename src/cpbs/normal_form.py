@@ -13,6 +13,7 @@ from .netlist import Netlist, to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
     GATE_FOR,
+    NEG_FOR,
     STRUCT_KINDS,
     Colour,
     Configuration,
@@ -27,8 +28,6 @@ from .terms import (
     ident,
     identity_of,
     merge_vh,
-    neg_hv,
-    neg_vh,
     par,
     permute,
     seq,
@@ -78,15 +77,9 @@ class NormalForm:
 
     @property
     def F(self) -> Term:
-        cells: list[Term] = []
-        for line in self.lines:
-            c, c2 = line.source[0], line.target[0]
-            if c == c2:
-                cells.append(ident(c))
-            elif c == Colour.V:
-                cells.append(neg_vh())
-            else:
-                cells.append(neg_hv())
+        """Negation layer: each line that changes colour crosses the negation flipping it."""
+        cells = [ident(l.source[0]) if l.source[0] == l.target[0] else Gen(NEG_FOR[l.source[0]])
+                 for l in self.lines]
         return par(*cells) if cells else Empty()
 
     @property

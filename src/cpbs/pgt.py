@@ -65,41 +65,38 @@ class PgtForm:
         return body
 
 
-def _cut_gates(n: Netlist) -> dict[int, Colour]:
-    """Gates to cut, in order of first use chasing inputs in position order.
+def _cut(n: Netlist) -> tuple[dict[int, Colour], SemanticsTable]:
+    """The gates to cut, and the table of the diagram with them cut.
 
-    Only gates that a photon reaches and that query an oracle are cut;
-    each takes the colour of the polarisations reaching it (T for both).
-    An empty-word gate is a plain wire and stays in the core.
+    Each input photon, in position order, is chased from gate to gate.
+    A gate that queries an oracle takes its trace slot the first time a
+    photon reaches it, and the colour of the polarisations reaching it
+    (T for both); an empty-word gate is a plain wire and stays in the
+    core.  In the residual table gate i's input port is extra output
+    |b|+i and its output port extra input |a|+i, so the residual is
+    gate-free by construction.  No two photons reach a gate in one
+    polarisation (see ``chase``), so each residual input is chased once.
     """
     sink_at = n.sink_of()
+    stop = {nid for nid, node in n.nodes.items() if node.kind in GATE_KINDS and node.word}
+    slot: dict[int, int] = {}
     reach: dict[int, set[Colour]] = {}
-    for pol, pos in configurations(n.in_type):
-        for nid, p in chase(sink_at, n.nodes, ("bin", pos), pol)[2]:
-            if n.nodes[nid].word:
-                reach.setdefault(nid, set()).add(p)
-    return {nid: T if len(pols) == 2 else pols.pop() for nid, pols in reach.items()}
-
-
-def _residual_table(n: Netlist, cut: dict[int, Colour]) -> SemanticsTable:
-    """Table of the diagram with every gate cut onto a boundary pair.
-
-    Gate i's input port becomes extra output |b|+i and its output port
-    extra input |a|+i, so the residual is gate-free by construction.
-    """
-    slot = {nid: i for i, nid in enumerate(cut)}
+    exits: dict[Configuration, tuple[Configuration, Word]] = {}
+    for start in configurations(n.in_type):
+        pol, src = start[0], ("bin", start[1])
+        while True:
+            end, pol, _ = chase(sink_at, n.nodes, src, pol, stop)
+            if end[0] == "bout":
+                exits[start] = (pol, end[1]), ()
+                break
+            i = slot.setdefault(end[1], len(slot))
+            reach.setdefault(end[1], set()).add(pol)
+            exits[start] = (pol, len(n.out_type) + i), ()
+            start, src = (pol, len(n.in_type) + i), ("nout", end[1], 0)
+    cut = {nid: T if len(pols) == 2 else pols.pop() for nid, pols in reach.items()}
     cs = tuple(cut.values())
-    sink_at = n.sink_of()
-
-    def exit_of(src: tuple, pol: Colour) -> tuple[Configuration, Word]:
-        end, pol, _ = chase(sink_at, n.nodes, src, pol, slot)
-        return (pol, end[1] if end[0] == "bout" else len(n.out_type) + slot[end[1]]), ()
-
-    entries = {(pol, pos): exit_of(("bin", pos), pol) for pol, pos in configurations(n.in_type)}
-    for i, (nid, c) in enumerate(cut.items()):
-        for pol in (V, H) if c == T else (c,):
-            entries[(pol, len(n.in_type) + i)] = exit_of(("nout", nid, 0), pol)
-    return SemanticsTable(n.in_type + cs, n.out_type + cs, entries)
+    entries = {c: exits[c] for c in configurations(n.in_type + cs)}
+    return cut, SemanticsTable(n.in_type + cs, n.out_type + cs, entries)
 
 
 def to_pgt_form(d: Term) -> PgtForm:
@@ -113,8 +110,8 @@ def _to_pgt_form(n: Netlist, t: SemanticsTable) -> PgtForm:
     queries = _queries(n)
     if queries != query_lower_bounds(t):
         raise NotQueryOptimal("diagram does not meet its query lower bounds")
-    cut = _cut_gates(n)
-    core = synthesize_stair_form(_residual_table(n, cut))
+    cut, residual = _cut(n)
+    core = synthesize_stair_form(residual)
     gates = tuple(Gen(GATE_FOR[c], n.nodes[nid].word) for nid, c in cut.items())
     form = PgtForm(gates, core)
     out = to_netlist(form.as_term())
@@ -173,8 +170,8 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
 
     Wires are laid down lazily, driven by chasing one input photon at a
     time over the partial wiring: the unwired source it reaches is the
-    branch point, and a photon exiting on the wrong row or circling
-    kills the branch at once.  Untouched copies of identical nodes are
+    branch point, and a photon exiting on the wrong row kills the
+    branch at once.  Untouched copies of identical nodes are
     interchangeable, so only the least-numbered one may be wired first.
     """
     src_colour: dict[tuple, Colour] = {}
@@ -230,11 +227,8 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
         if i == len(starts):
             return True
         (pol, pos), (target, target_word) = starts[i]
-        end, pol, gates = chase(wiring, nodes, ("bin", pos), pol)
-        if end is None:
-            return False
+        end, pol, word = chase(wiring, nodes, ("bin", pos), pol)
         if end[0] == "bout":
-            word = tuple(u for j, _ in gates for u in nodes[j].word)
             return (pol, end[1]) == target and word == target_word and advance(i + 1)
         for cand in candidates(src_colour[end]):
             place(end, cand)

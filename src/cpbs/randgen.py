@@ -62,11 +62,9 @@ def random_diagram(
 ) -> Term:
     """A random well-typed diagram with a terminating action.
 
-    Closing a trace never makes a photon from the boundary loop: each
-    step maps a (source port, polarisation) state to the next one-to-one,
-    and a boundary input state has no predecessor, so its trajectory
-    cannot revisit a state and must reach a boundary output.  So traces
-    are added without evaluating the diagram.
+    Closing a trace never makes a photon from the boundary loop (see
+    ``semantics.chase`` for why every walk ends), so traces are added
+    without evaluating the diagram.
 
     With single_query=True every gate carries one fresh letter, so no
     letter occurs twice in the result.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container, Mapping, Sequence
 
-from .errors import InvalidConfiguration, NonTermination
+from .errors import InvalidConfiguration
 from .netlist import Netlist, Sink, Source, to_netlist
 from .terms import Colour, Configuration, GATE_KINDS, Gen, Term, WireType, Word, configurations
 
@@ -53,53 +53,49 @@ def chase(
     src: Source,
     pol: Colour,
     stop: Container[int] = (),
-) -> tuple[Source | Sink | None, Colour, list[tuple[int, Colour]]]:
+) -> tuple[Source | Sink, Colour, Word]:
     """Follow one photon leaving the wire source ``src`` as ``pol``.
 
-    Returns ``(end, pol, gates)``: where the walk ended, the photon's
-    polarisation there, and the gate nodes it crossed in order, each
-    with the polarisation it entered with.  The walk ends at a boundary
-    sink ``("bout", j)``, at the input ``("nin", n, k)`` of a node ``n``
-    in ``stop``, at a source that ``sink_at`` does not wire (returned
-    as ``end``), or on revisiting a (source, polarisation) state, where
-    ``end`` is None.
+    Returns ``(end, pol, word)``: where the walk ended, the photon's
+    polarisation there, and the letters of the gates it crossed, first
+    crossed first.  The walk ends at a boundary sink ``("bout", j)``, at
+    the input ``("nin", n, k)`` of a node ``n`` in ``stop``, or at a
+    source that ``sink_at`` does not wire (returned as ``end``).
+
+    The walk always ends.  ``sink_at`` must wire no two sources to one
+    sink; each box's action is one-to-one on (polarisation, port) and a
+    gate keeps the polarisation, so each (source, polarisation) state
+    has at most one predecessor.  A walk must start at a boundary input,
+    which has none, or at the output of a node in ``stop``, whose one
+    predecessor ends the walk.  So no state of a walk comes round again.
     """
-    gates: list[tuple[int, Colour]] = []
-    seen: set[tuple[Source, Colour]] = set()
-    while (src, pol) not in seen:
-        seen.add((src, pol))
+    word: list[str] = []
+    while True:
         snk = sink_at.get(src)
         if snk is None:
-            return src, pol, gates
-        if snk[0] == "bout":
-            return snk, pol, gates
+            return src, pol, tuple(word)
+        if snk[0] == "bout" or snk[1] in stop:
+            return snk, pol, tuple(word)
         _, nid, k = snk
-        if nid in stop:
-            return snk, pol, gates
-        kind = nodes[nid].kind
-        if kind in GATE_KINDS:
-            gates.append((nid, pol))
+        node = nodes[nid]
+        if node.kind in GATE_KINDS:
+            word.extend(node.word)
             src = ("nout", nid, 0)
         else:
-            pol, k = _ACTION[kind][(pol, k)]
+            pol, k = _ACTION[node.kind][(pol, k)]
             src = ("nout", nid, k)
-    return None, pol, gates
 
 
 def _exit(n: Netlist, sink_at: dict[Source, Sink], start: Configuration) -> tuple[Configuration, Word]:
     pol, pos = start
-    end, pol, gates = chase(sink_at, n.nodes, ("bin", pos), pol)
-    if end is None:
-        raise NonTermination(f"photon entering at {start!r} circles forever")
-    return (pol, end[1]), tuple(u for nid, _ in gates for u in n.nodes[nid].word)
+    end, pol, word = chase(sink_at, n.nodes, ("bin", pos), pol)
+    return (pol, end[1]), word
 
 
 def evaluate(n: Netlist | Term, start: Configuration) -> tuple[Configuration, Word]:
     """Follow one photon from an input configuration to its exit.
 
-    Raises InvalidConfiguration if the input type does not admit the
-    start, and NonTermination if the photon revisits a wire with the
-    same polarisation (it would circle forever).
+    Raises InvalidConfiguration if the input type does not admit the start.
     """
     n = n if isinstance(n, Netlist) else to_netlist(n)
     pol, pos = start

@@ -17,6 +17,7 @@ from .errors import HasGates, NotBijective
 from .netlist import UnionFind, to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
+    NEG_FOR,
     Colour,
     Empty,
     Gen,
@@ -28,9 +29,6 @@ from .terms import (
     identity_of,
     layer,
     merge_hv,
-    neg_hv,
-    neg_t,
-    neg_vh,
     par,
     pbs4,
     pbs_th_th,
@@ -378,12 +376,7 @@ class StairForm:
         def neg_layer(before: WireType, negs: tuple[bool, ...], after: WireType) -> Term:
             cells = []
             for p, (c, flip, c2) in enumerate(zip(before, negs, after)):
-                if not flip:
-                    cell = ident(c)
-                elif c == T:
-                    cell = neg_t()
-                else:
-                    cell = neg_vh() if c == V else neg_hv()
+                cell = Gen(NEG_FOR[c]) if flip else ident(c)
                 if cell.signature() != ((c,), (c2,)):
                     raise AssertionError(f"slot {p}: {cell.kind} cannot turn {c.value} into {c2.value}")
                 cells.append(cell)

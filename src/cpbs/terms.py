@@ -105,6 +105,7 @@ _FIXED_TYPES: dict[str, tuple[WireType, WireType]] = {
     "neg_hv": ((H,), (V,)),
     **{kind: ((c,), (c,)) for kind, c in _GATE_COLOUR.items()},
 }
+NEG_FOR = {_FIXED_TYPES[kind][0][0]: kind for kind in NEG_KINDS}  # colour -> negation flipping it
 
 # output slot of each input wire of the structural kinds; perm carries its own
 _STRUCT_SLOTS = {"id": (0,), "swap": (1, 0)}

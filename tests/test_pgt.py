@@ -16,7 +16,8 @@ import cpbs.gallery
 import cpbs.pgt as pgt
 from cpbs.cli import main
 from cpbs.errors import NotFound, NotQueryOptimal, PreconditionViolated
-from cpbs.hardness import build_C_w_sigma, orient_eulerian, parse_graph
+from cpbs.hardness import build_C_w_sigma, corpus, orient_eulerian, parse_graph
+from cpbs.netlist import to_netlist
 from cpbs.normal_form import equivalent
 from cpbs.pgt import (
     PgtForm,
@@ -27,9 +28,10 @@ from cpbs.pgt import (
 )
 from cpbs.query_opt import optimize_queries, query_lower_bounds, query_profile
 from cpbs.randgen import random_diagram
-from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
+from cpbs.semantics import _ACTION, SemanticsTable, chase, semantics_table, tables_equal
 from cpbs.stairs import pbs_lower_bound, synthesize_stair_form
 from cpbs.terms import (
+    GATE_KINDS,
     NEG_KINDS,
     PBS_KINDS,
     Colour,
@@ -239,6 +241,56 @@ class TestToPgtForm:
             "raised: optimised diagram is not equivalent to its input",
         ]
 
+    def test_count_and_table_certificates_survive_optimised_python(self):
+        # a PGT form with a wasted split and merge or an unreachable query,
+        # a stair form with a wasted split and merge, and a reduction diagram
+        # without its negations must still raise when asserts are compiled away
+        script = textwrap.dedent(
+            """
+            import cpbs.hardness as hardness
+            import cpbs.pgt as pgt
+            import cpbs.stairs as stairs
+            from cpbs.gallery import quantum_switch
+            from cpbs.semantics import semantics_table
+            from cpbs.terms import Colour, Trace, gate_t, ident, merge_vh, par, seq, split_vh, swap
+
+            T = Colour.T
+            real_pgt, real_stair = pgt.PgtForm.as_term, stairs.StairForm.as_term
+            g = hardness.corpus()["triangle"]
+
+            def extra_pbs(form):  # the same table for two more PBS
+                return seq(real_pgt(form), split_vh(), merge_vh())
+
+            def extra_query(form):  # the same table for one more query, on a closed loop
+                return par(real_pgt(form), Trace(T, gate_t("W")))
+
+            def stair_extra_pbs(sf):
+                return seq(real_stair(sf), par(seq(split_vh(), merge_vh()), ident(T)))
+
+            def run(owner, name, value, call):
+                real = getattr(owner, name)
+                setattr(owner, name, value)
+                try:
+                    call()
+                except AssertionError as e:
+                    print("raised:", e)
+                setattr(owner, name, real)
+
+            run(pgt.PgtForm, "as_term", extra_pbs, lambda: pgt.to_pgt_form(quantum_switch()))
+            run(pgt.PgtForm, "as_term", extra_query, lambda: pgt.to_pgt_form(quantum_switch()))
+            run(stairs.StairForm, "as_term", stair_extra_pbs,
+                lambda: stairs.synthesize_stair_form(semantics_table(swap(T, T))))
+            run(hardness, "neg_t", lambda: ident(T),
+                lambda: hardness.diagram_from_decomposition(g, hardness.max_ecd_bruteforce(g)))
+            """
+        )
+        assert _run_optimised(script) == [
+            "raised: PGT form uses more PBS than its input",
+            "raised: PGT form changes the query counts",
+            "raised: stair form misses the PBS lower bound",
+            "raised: reduction diagram changes the reference table",
+        ]
+
     def test_opt_pbs_handoff_is_certified_under_optimised_python(self, tmp_path):
         # opt-pbs hands the optimiser's netlist to the PGT step undrawn: a
         # netlist of another table must fail the PGT form's certificate, and
@@ -350,6 +402,81 @@ GALLERY = (
 def _reduction(graph_text: str):
     o = orient_eulerian(parse_graph(graph_text))
     return build_C_w_sigma(o.w, o.sigma)
+
+
+def _gates_crossed(n, src, pol):
+    """The gates a photon crosses from a source, each with the polarisation it enters with."""
+    sink_at, gates = n.sink_of(), []
+    while (snk := sink_at[src])[0] != "bout":
+        _, nid, k = snk
+        kind = n.nodes[nid].kind
+        if kind in GATE_KINDS:
+            gates.append((nid, pol))
+            src = ("nout", nid, 0)
+        else:
+            pol, k = _ACTION[kind][(pol, k)]
+            src = ("nout", nid, k)
+    return gates
+
+
+def _reference_cut_gates(n):
+    """Reference: the gates to cut, read off one whole walk per input photon."""
+    reach = {}
+    for pol, pos in configurations(n.in_type):
+        for nid, p in _gates_crossed(n, ("bin", pos), pol):
+            if n.nodes[nid].word:
+                reach.setdefault(nid, set()).add(p)
+    return {nid: T if len(pols) == 2 else pols.pop() for nid, pols in reach.items()}
+
+
+def _reference_residual_table(n, cut):
+    """Reference: the residual table, chasing every photon again with the cut gates in stop."""
+    slot = {nid: i for i, nid in enumerate(cut)}
+    cs = tuple(cut.values())
+    sink_at = n.sink_of()
+
+    def exit_of(src, pol):
+        end, pol, _ = chase(sink_at, n.nodes, src, pol, slot)
+        return (pol, end[1] if end[0] == "bout" else len(n.out_type) + slot[end[1]]), ()
+
+    entries = {(pol, pos): exit_of(("bin", pos), pol) for pol, pos in configurations(n.in_type)}
+    for i, (nid, c) in enumerate(cut.items()):
+        for pol in (V, H) if c == T else (c,):
+            entries[(pol, len(n.in_type) + i)] = exit_of(("nout", nid, 0), pol)
+    return SemanticsTable(n.in_type + cs, n.out_type + cs, entries)
+
+
+def test_one_chase_per_photon_segment_cuts_as_two_passes_did():
+    diagrams = [getattr(cpbs.gallery, name)() for name in GALLERY]
+    diagrams += [optimize_queries(random_diagram(seed)) for seed in range(400)]
+    rng = random.Random(3)
+    diagrams += [random_diagram(rng, max_generators=10, max_wires=3, single_query=True)
+                 for _ in range(100)]
+    rng = random.Random(4)
+    walks = [[rng.randrange(k // 3) for _ in range(k)] for k in (24, 64, 128)]
+    texts = ["".join(f"v{i} v{(i + 1) % k}\n" for i in range(k)) for k in (8, 16, 32, 64, 128)]
+    texts += ["".join(f"u{w[i - 1]} u{w[i]}\n" for i in range(len(w))) for w in walks]
+    diagrams += [_reduction(text) for text in texts]
+    diagrams += [build_C_w_sigma(o.w, o.sigma) for o in map(orient_eulerian, corpus().values())]
+    gates_cut = 0
+    for d in diagrams:
+        n = to_netlist(d)
+        cut, residual = pgt._cut(n)
+        expected = _reference_cut_gates(n)
+        assert list(cut.items()) == list(expected.items()), d
+        reference = _reference_residual_table(n, expected)
+        assert tables_equal(residual, reference) and list(residual.entries) == list(reference.entries)
+        gates_cut += len(cut)
+    assert gates_cut > 500
+
+
+def test_pgt_step_chases_each_photon_segment_once(monkeypatch):
+    # the switch's two photons each cross both gates: three segments apiece
+    chased = []
+    monkeypatch.setattr(pgt, "chase", lambda *a: chased.append(a[2:4]) or chase(*a))
+    n = to_netlist(cpbs.gallery.quantum_switch())
+    pgt._to_pgt_form(n, semantics_table(n))
+    assert len(chased) == len(set(chased)) == 6
 
 
 def test_opt_pbs_prints_the_public_composition(tmp_path, capsys):

@@ -4,10 +4,15 @@ import random
 
 import pytest
 
+import cpbs.gallery
 from cpbs.errors import InvalidConfiguration
+from cpbs.hardness import build_C_w_sigma, corpus, orient_eulerian, parse_graph
+from cpbs.netlist import to_netlist
+from cpbs.pgt import _cut
 from cpbs.randgen import random_diagram
-from cpbs.semantics import evaluate, is_bijective, semantics_table, tables_equal
+from cpbs.semantics import _ACTION, chase, evaluate, is_bijective, semantics_table, tables_equal
 from cpbs.terms import (
+    GATE_KINDS,
     Colour,
     Empty,
     Gen,
@@ -234,3 +239,61 @@ def test_netlist_interpreter_matches_structural_oracle():
         assert t.entries == _oracle(d), f"seed {seed}: {d!r}"
     d = seq(perm((T, V, H), (2, 0, 1)), par(merge_vh(), gate_t("U")))
     assert semantics_table(d).entries == _oracle(d)
+
+
+# ---------------------------------------------------------------------------
+# the argument that every walk ends
+# ---------------------------------------------------------------------------
+
+def test_every_box_action_is_one_to_one():
+    for kind, action in _ACTION.items():
+        assert len(set(action.values())) == len(action), kind
+
+
+def _chase_with_visited_set(sink_at, nodes, src, pol, stop=()):
+    """Reference: the walk that stores every (source, polarisation) state
+    it visits, and ends with ``None`` on a revisit."""
+    word, seen = [], set()
+    while (src, pol) not in seen:
+        seen.add((src, pol))
+        snk = sink_at.get(src)
+        if snk is None or snk[0] == "bout" or snk[1] in stop:
+            return (src if snk is None else snk), pol, tuple(word)
+        _, nid, k = snk
+        if nodes[nid].kind in GATE_KINDS:
+            word.extend(nodes[nid].word)
+            src = ("nout", nid, 0)
+        else:
+            pol, k = _ACTION[nodes[nid].kind][(pol, k)]
+            src = ("nout", nid, k)
+    return None, pol, tuple(word)
+
+
+GALLERY = (
+    "quantum_switch", "three_query_circuit", "half_switch_traced", "half_switch_lean",
+    "worked_example", "worked_example_query_optimal", "worked_example_pgt",
+    "two_query_pbs_free", "one_query_two_pbs", "repeated_switch", "fused_double_gate",
+)
+
+
+def test_walks_from_the_boundary_and_from_cut_gates_never_come_round():
+    diagrams = [getattr(cpbs.gallery, name)() for name in GALLERY]
+    diagrams += [random_diagram(s, max_generators=(8, 16, 32, 64)[s % 4], max_wires=2 + s % 5)
+                 for s in range(400)]
+    graphs = [parse_graph("".join(f"v{i} v{(i + 1) % k}\n" for i in range(k))) for k in (8, 32, 128)]
+    graphs += corpus().values()
+    diagrams += [build_C_w_sigma(o.w, o.sigma) for o in map(orient_eulerian, graphs)]
+    walks = 0
+    for d in diagrams:
+        n = to_netlist(d)
+        sink_at = n.sink_of()
+        starts = [(("bin", pos), pol, ()) for pol, pos in configurations(n.in_type)]
+        cut = _cut(n)[0]
+        starts += [(("nout", nid, 0), pol, cut) for nid, c in cut.items()
+                   for pol in ((V, H) if c == T else (c,))]
+        for src, pol, stop in starts:
+            expected = _chase_with_visited_set(sink_at, n.nodes, src, pol, stop)
+            assert expected[0] is not None
+            assert chase(sink_at, n.nodes, src, pol, stop) == expected
+            walks += 1
+    assert walks > 4000

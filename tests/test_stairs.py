@@ -367,14 +367,14 @@ def _scrambled_staircases():
 
 def _reduction_residuals():
     from cpbs.hardness import build_C_w_sigma, corpus, orient_eulerian, parse_graph
-    from cpbs.pgt import _cut_gates, _residual_table
+    from cpbs.pgt import _cut
 
     graphs = list(corpus().values())
     graphs += [parse_graph("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n))) for n in (8, 16, 33)]
     for g in graphs:
         o = orient_eulerian(g)
         n = to_netlist(build_C_w_sigma(o.w, o.sigma))
-        yield _residual_table(n, _cut_gates(n))
+        yield _cut(n)[1]
 
 
 def test_two_walks_per_black_ladder_give_every_walks_stair_form(monkeypatch):
