@@ -348,16 +348,8 @@ def to_term(n: Netlist) -> Term:
         sink_of[src] = ("bout", len(n.out_type) + m)
 
     frontier: list[Source] = [("bin", i) for i in range(len(in_ext))]
+    colours = list(in_ext)  # the colour of each frontier wire, kept beside it
     layers: list[Term] = []
-
-    def colours_of(front: list[Source]) -> list[Colour]:
-        out = []
-        for src in front:
-            if src[0] == "bin":
-                out.append(in_ext[src[1]])
-            else:
-                out.append(n.source_colour(src))
-        return out
 
     # draws each permutation in the paper's generators: one layer per adjacent swap
     def swap_layers(colours: list[Colour], slots: list[int]) -> list[Term]:
@@ -383,20 +375,28 @@ def to_term(n: Netlist) -> Term:
     heapify(ready)
     while ready:
         nid = heappop(ready)  # the least ready node, as a scan of every node would pick
+        node = n.nodes[nid]
+        ins, outs = node.signature()
         srcs = [wires[snk] for snk in n.node_sinks(nid)]
         chosen = set(srcs)
         dest = min(frontier.index(s) for s in srcs)
         others = [s for s in frontier if s not in chosen]
         new_front = others[:dest] + srcs + others[dest:]
         at = {s: i for i, s in enumerate(new_front)}
-        layers.extend(swap_layers(colours_of(frontier), [at[s] for s in frontier]))
-        frontier = new_front
+        slots = [at[s] for s in frontier]
+        layers.extend(swap_layers(colours, slots))
+        routed = colours[:]
+        for c, k in zip(colours, slots):
+            routed[k] = c
+        layers.append(layer(routed, dest, node))
 
-        layers.append(layer(colours_of(frontier), dest, n.nodes[nid]))
-        outs = n.node_sources(nid)
-        frontier = frontier[:dest] + outs + frontier[dest + len(srcs) :]
+        sources = n.node_sources(nid)
+        frontier = new_front
+        frontier[dest : dest + len(ins)] = sources
+        routed[dest : dest + len(ins)] = outs
+        colours = routed
         del pending[nid]
-        for src in outs:
+        for src in sources:
             snk = sink_of[src]
             if snk[0] == "nin":
                 pending[snk[1]] -= 1
@@ -406,8 +406,7 @@ def to_term(n: Netlist) -> Term:
         raise AssertionError("cyclic core after feedback cutting")
 
     if frontier:
-        slots = [sink_of[src][1] for src in frontier]
-        layers.extend(swap_layers(colours_of(frontier), slots))
+        layers.extend(swap_layers(colours, [sink_of[src][1] for src in frontier]))
 
     if layers:
         core = seq(*layers)

@@ -12,6 +12,7 @@ from .errors import NotBijective, PreconditionViolated, TypeMismatch
 from .netlist import Netlist, to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
+    _drawn_once,
     GATE_FOR,
     NEG_FOR,
     STRUCT_KINDS,
@@ -99,6 +100,7 @@ class NormalForm:
         cells = [merge_vh() if c == Colour.T else ident(c) for c in self.out_type]
         return par(*cells) if cells else Empty()
 
+    @_drawn_once
     def as_term(self) -> Term:
         if not self.lines and not self.in_type and not self.out_type:
             return Empty()

@@ -20,6 +20,7 @@ from .semantics import SemanticsTable, chase, semantics_table, tables_equal
 from .stairs import StairForm, synthesize_stair_form
 from .terms import (
     _GATE_COLOUR,
+    _drawn_once,
     GATE_FOR,
     GATE_KINDS,
     NEG_KINDS,
@@ -53,6 +54,7 @@ class PgtForm:
     def count_pbs(self) -> int:
         return self.core.count_pbs()
 
+    @_drawn_once
     def as_term(self) -> Term:
         body = self.core.as_term()
         if not self.gates:

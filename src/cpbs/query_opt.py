@@ -95,9 +95,7 @@ _MERGE_RULE = {
 
 # the deformation onto the normal form: STRUCT_YANKING's sides are both the
 # empty diagram, so its one site on any netlist is the empty instance
-_DEFORMATION = ProofStep(
-    "STRUCT_YANKING", "L2R", RuleInstance("STRUCT_YANKING", "L2R").site_hash
-)
+_DEFORMATION = RuleInstance("STRUCT_YANKING", "L2R")
 
 
 def _nonblack_gates(n: Netlist) -> list[tuple[Word, int]]:
@@ -117,8 +115,15 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
     netlist.  The output is certified to have the input's table and to
     query each letter exactly as often as that table's bound says.
     """
-    n, t, steps = _optimize_queries(d)
-    if not steps:
+    out, sites = _certified(d)
+    # splice never changes an instance, so each site hashes as it did when matched
+    return out, [ProofStep(s.rule, s.direction, s.site_hash) for s in sites]
+
+
+def _certified(d: Term) -> tuple[Term, list[RuleInstance]]:
+    """optimize_queries_traced's diagram, drawn and certified, and its sites unhashed."""
+    n, t, sites = _optimize_queries(d)
+    if not sites:
         return d, []
     out = to_term(n)
     m = to_netlist(out)
@@ -126,12 +131,13 @@ def optimize_queries_traced(d: Term) -> tuple[Term, list[ProofStep]]:
         raise AssertionError("optimised diagram misses a query lower bound")
     if not tables_equal(semantics_table(m), t):
         raise AssertionError("optimised diagram is not equivalent to its input")
-    return out, steps
+    return out, sites
 
 
-def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[ProofStep]]:
+def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstance]]:
     """optimize_queries_traced's rewritten netlist (the input's own if already
-    optimal), the input's table and the steps; only the queries are certified."""
+    optimal), the input's table and the site of each step, unhashed; only the
+    queries are certified."""
     n = to_netlist(d)
     t = semantics_table(n)
     bounds = query_lower_bounds(t)
@@ -143,7 +149,7 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[ProofStep]
     # each step matches its rule on the one or two gates it rewrites
     n = _synthesize_nf(t)[1]
     next_id = max(n.nodes, default=-1) + 1
-    steps = [_DEFORMATION]
+    steps: list[RuleInstance] = [_DEFORMATION]
 
     def take(rule_id: str, nodes: tuple[int, ...]) -> range:
         """Rewrite by the rule's least site on these nodes; returns the new ids."""
@@ -154,7 +160,7 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[ProofStep]
         new_ids = splice(n, sites[0], next_id)
         # every rule taken here adds boxes, so the counter stays max(n.nodes) + 1
         next_id = new_ids.stop
-        steps.append(ProofStep(rule_id, "L2R", sites[0].site_hash))
+        steps.append(sites[0])
         if len(steps) > budget:
             raise AssertionError("rule budget exceeded")
         return new_ids
@@ -192,4 +198,4 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[ProofStep]
 
 
 def optimize_queries(d: Term) -> Term:
-    return optimize_queries_traced(d)[0]
+    return _certified(d)[0]

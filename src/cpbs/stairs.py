@@ -17,6 +17,7 @@ from .errors import HasGates, NotBijective
 from .netlist import UnionFind, to_netlist
 from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
 from .terms import (
+    _drawn_once,
     NEG_FOR,
     Colour,
     Empty,
@@ -367,6 +368,7 @@ class StairForm:
     def count_pbs(self) -> int:
         return sum(sc.size for sc in self.cases)
 
+    @_drawn_once
     def as_term(self) -> Term:
         if not self.in_type and not self.out_type:
             return Empty()

@@ -9,6 +9,7 @@ polarisations), V (red, vertical only) and H (blue, horizontal only).
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -302,12 +303,17 @@ def gate_h(w: object = ()) -> Gen:
     return Gen("gate_h", as_word(w))
 
 
+# a Gen is a frozen value, so each wire and each swap is one shared object
+_IDENT = {c: Gen("id", colours=(c,)) for c in Colour}
+_SWAP = {(c1, c2): Gen("swap", colours=(c1, c2)) for c1 in Colour for c2 in Colour}
+
+
 def ident(c: Colour) -> Gen:
-    return Gen("id", colours=(c,))
+    return _IDENT[c]
 
 
 def swap(c1: Colour, c2: Colour) -> Gen:
-    return Gen("swap", colours=(c1, c2))
+    return _SWAP[c1, c2]
 
 
 def perm(colours: Sequence[Colour], slots: Sequence[int]) -> Gen:
@@ -348,6 +354,20 @@ def layer(types: Sequence[Colour], pos: int, g: Gen) -> Term:
     """g on the wires of ``types`` from pos on, with an id on every other wire."""
     k = len(g.signature()[0])
     return par(*(ident(c) for c in types[:pos]), g, *(ident(c) for c in types[pos + k :]))
+
+
+def _drawn_once(draw: Callable[[object], Term]) -> Callable[[object], Term]:
+    """``as_term`` for a frozen form: it draws on the first call and returns
+    the same term after that, kept on the instance beside its fields."""
+
+    @functools.wraps(draw)
+    def as_term(self) -> Term:
+        term = vars(self).get("_term")
+        if term is None:
+            term = vars(self)["_term"] = draw(self)
+        return term
+
+    return as_term
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ from .terms import (
     Seq,
     Term,
     Trace,
+    ident,
+    swap,
     type_str,
 )
 
@@ -120,12 +122,12 @@ def _gen(text: str) -> Gen:
     if name == "id":
         if payload is None:
             raise SyntaxError("id needs a colour, as in id[T]")
-        return Gen("id", colours=(_colour(payload),))
+        return ident(_colour(payload))
     if name == "swap":
         parts = (payload or "").split(",")
         if payload is None or len(parts) != 2:
             raise SyntaxError("swap needs two colours, as in swap[T,V]")
-        return Gen("swap", colours=(_colour(parts[0]), _colour(parts[1])))
+        return swap(_colour(parts[0]), _colour(parts[1]))
     if name == "perm":
         return _perm(payload)
     if name == "gate":
@@ -169,7 +171,8 @@ def parse(src: str) -> Term:
     token, and only then does ``_located`` rescan the lines for that
     token's ``line L col C``.
     Each distinct generator spelling is validated, built and typed once
-    per call, and every later occurrence shares that frozen ``Gen``.
+    per call, and every later occurrence shares that frozen ``Gen``; an
+    ``id`` or ``swap`` is the one object ``ident`` or ``swap`` returns.
 
     One pass over the tokens with an explicit stack, so text of any
     nesting depth reads back.  A level is a bracket's contents or the

@@ -1,4 +1,5 @@
-"""Each command elaborates each term once, and rule patterns compile once.
+"""Each command elaborates each term and draws each form once, and rule
+patterns compile once.
 
 `to_netlist` and `semantics_table` are wrapped with a counter at every
 place a `cpbs.*` module holds them, so a stage that rebuilds a netlist
@@ -17,8 +18,10 @@ import pytest
 
 import cpbs.netlist
 import cpbs.normal_form
+import cpbs.pgt
 import cpbs.rewrite
 import cpbs.semantics
+import cpbs.stairs
 import cpbs.terms
 from cpbs import gallery
 from cpbs.cli import main
@@ -160,6 +163,48 @@ TABLES = {
 }
 
 
+# (diagram, command) -> drawings made: the distinct terms that each form's
+# as_term, and to_term, hand out.  A form draws on its first as_term call
+# and returns that term after, so the table checks and the printing share
+# one drawing.  normalize draws the normal form once, for its table check
+# and its output.  opt-queries on three_query_circuit draws the optimiser's
+# normal form and its output; quantum_switch is already optimal.  opt-pbs
+# draws the stair core once, for the stair form's check, and the PGT form
+# once around it, for the PGT certificate and the output.
+DRAWINGS = {
+    **{(d, "normalize"): {"NormalForm": 1} for d in DIAGRAMS},
+    ("quantum_switch", "opt-queries"): {},
+    ("three_query_circuit", "opt-queries"): {"NormalForm": 1, "to_term": 1},
+    ("quantum_switch", "opt-pbs"): {"StairForm": 1, "PgtForm": 1},
+    ("three_query_circuit", "opt-pbs"): {"NormalForm": 1, "StairForm": 1, "PgtForm": 1},
+}
+FORMS = {
+    "NormalForm": cpbs.normal_form.NormalForm,
+    "StairForm": cpbs.stairs.StairForm,
+    "PgtForm": cpbs.pgt.PgtForm,
+}
+
+
+@pytest.mark.parametrize("diagram,command", sorted(DRAWINGS))
+def test_command_drawings(diagram, command, monkeypatch, tmp_path, capsys):
+    drawn: dict[str, list] = {name: [] for name in (*FORMS, "to_term")}
+
+    def kept(original, terms):
+        def drawing(*args):
+            terms.append(original(*args))  # kept alive, so no two share an id
+            return terms[-1]
+
+        return drawing
+
+    for name, form in FORMS.items():
+        monkeypatch.setattr(form, "as_term", kept(form.as_term, drawn[name]))
+    _wrap(monkeypatch, cpbs.netlist.to_term, kept(cpbs.netlist.to_term, drawn["to_term"]))
+    assert main(_argv(command, diagram, tmp_path)) == 0
+    capsys.readouterr()
+    counts = {name: len({id(t) for t in terms}) for name, terms in drawn.items()}
+    assert {name: k for name, k in counts.items() if k} == DRAWINGS[(diagram, command)]
+
+
 @pytest.mark.parametrize("diagram,command", sorted(ELABORATIONS))
 def test_command_elaborations(diagram, command, netlist_calls, table_calls, tmp_path, capsys):
     argv = _argv(command, diagram, tmp_path)
@@ -181,6 +226,26 @@ def test_opt_pbs_draws_no_term(diagram, monkeypatch, tmp_path, capsys):
     assert main(_argv("opt-queries", diagram, tmp_path)) == 0
     assert drawings[0] == (diagram == "three_query_circuit")
     capsys.readouterr()
+
+
+def test_only_the_traced_optimiser_hashes_its_sites(monkeypatch, tmp_path, capsys):
+    # the rewrite loop keeps each matched instance; a trace hashes them all at the end
+    hashes = [0]
+    site_hash = cpbs.rewrite.RuleInstance.site_hash
+
+    def counted(inst):
+        hashes[0] += 1
+        return site_hash.fget(inst)
+
+    monkeypatch.setattr(cpbs.rewrite.RuleInstance, "site_hash", property(counted))
+    d = gallery.three_query_circuit()
+    optimize_queries(d)
+    for command in ("opt-queries", "opt-pbs"):
+        assert main(_argv(command, "three_query_circuit", tmp_path)) == 0
+    capsys.readouterr()
+    assert hashes[0] == 0
+    steps = optimize_queries_traced(d)[1]
+    assert hashes[0] == len(steps) > 1
 
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import inspect
 import itertools
 import os
@@ -15,7 +16,9 @@ import cpbs
 from cpbs import gallery
 from cpbs.netlist import Netlist, UnionFind, _back_wires, netlists_isomorphic, to_netlist, to_term
 from cpbs.normal_form import normalize
+from cpbs.query_opt import _optimize_queries
 from cpbs.randgen import random_diagram
+from cpbs.rewrite import apply, find_matches
 from cpbs.rules import RULES
 from cpbs.terms import (
     STRUCT_KINDS,
@@ -429,6 +432,104 @@ def test_to_term_matches_reference():
     nets = [to_netlist(d) for d in _cross_check_terms()]
     for k, n in enumerate(nets):
         assert to_term(n) == _reference_term(n), f"netlist {k}"
+
+
+def _recoloured_term(n: Netlist) -> Term:
+    """to_term's extraction, reading every frontier wire's colour afresh twice
+    per box and building each layer's ids and swaps anew: the reference for
+    its kept colour list and its shared wiring leaves."""
+    cuts = _back_wires(n)
+    wires = dict(n.wires)
+    in_ext = list(n.in_type)
+    sink_of = n.sink_of()
+    for m, (snk, src) in enumerate(cuts):
+        in_ext.append(n.sink_colour(snk))
+        wires[snk] = ("bin", len(n.in_type) + m)
+        sink_of[("bin", len(n.in_type) + m)] = snk
+        sink_of[src] = ("bout", len(n.out_type) + m)
+
+    def colours_of(front):
+        return [in_ext[s[1]] if s[0] == "bin" else n.source_colour(s) for s in front]
+
+    def fresh_layer(types, pos, g):
+        k = len(g.signature()[0])
+        ids = [Gen("id", colours=(c,)) for c in types]
+        return par(*ids[:pos], g, *ids[pos + k:])
+
+    def swap_layers(colours, slots):
+        arr = list(range(len(slots)))
+        out = []
+        changed = True
+        while changed:
+            changed = False
+            for s in range(len(arr) - 1):
+                if slots[arr[s]] > slots[arr[s + 1]]:
+                    g = Gen("swap", colours=(colours[arr[s]], colours[arr[s + 1]]))
+                    out.append(fresh_layer([colours[a] for a in arr], s, g))
+                    arr[s], arr[s + 1] = arr[s + 1], arr[s]
+                    changed = True
+        return out
+
+    frontier = [("bin", i) for i in range(len(in_ext))]
+    layers = []
+    pending = dict.fromkeys(n.nodes, 0)
+    for snk, src in wires.items():
+        if src[0] == "nout" and snk[0] == "nin":
+            pending[snk[1]] += 1
+    ready = [nid for nid, k in pending.items() if not k]
+    heapq.heapify(ready)
+    while ready:
+        nid = heapq.heappop(ready)
+        srcs = [wires[snk] for snk in n.node_sinks(nid)]
+        dest = min(frontier.index(s) for s in srcs)
+        others = [s for s in frontier if s not in set(srcs)]
+        new_front = others[:dest] + srcs + others[dest:]
+        at = {s: i for i, s in enumerate(new_front)}
+        layers += swap_layers(colours_of(frontier), [at[s] for s in frontier])
+        frontier = new_front
+        layers.append(fresh_layer(colours_of(frontier), dest, n.nodes[nid]))
+        outs = n.node_sources(nid)
+        frontier = frontier[:dest] + outs + frontier[dest + len(srcs):]
+        del pending[nid]
+        for src in outs:
+            snk = sink_of[src]
+            if snk[0] == "nin":
+                pending[snk[1]] -= 1
+                if not pending[snk[1]]:
+                    heapq.heappush(ready, snk[1])
+    if frontier:
+        layers += swap_layers(colours_of(frontier), [sink_of[s][1] for s in frontier])
+    core = seq(*layers) if layers else identity_of(tuple(in_ext))
+    for m in range(len(cuts) - 1, -1, -1):
+        core = Trace(in_ext[len(n.in_type) + m], core)
+    parts = [p for p in [core] + [Trace(c, ident(c)) for c in n.loops] if not isinstance(p, Empty)]
+    return par(*parts) if parts else Empty()
+
+
+def test_to_term_matches_the_recolouring_reference():
+    # the gallery, the optimiser's netlists, normal forms and every rule side
+    named = [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
+             if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+    nets = [to_netlist(d) for d in named]
+    nets += [_optimize_queries(random_diagram(s))[0] for s in range(400)]
+    nets += [to_netlist(normalize(d).as_term()) for d in named + [random_diagram(s) for s in range(40)]]
+    nets += [to_netlist(side) for r in RULES.values() for side in (r.lhs, r.rhs)]
+    for k, n in enumerate(nets):
+        assert to_term(n) == _recoloured_term(n), f"netlist {k}"
+
+
+def test_one_generator_at_two_leaves_is_two_nodes():
+    p = pbs4()
+    shared, fresh = to_netlist(seq(p, p)), to_netlist(seq(pbs4(), pbs4()))
+    assert list(shared.nodes) == [0, 1] and shared.nodes[0] is shared.nodes[1] is p
+    assert netlists_isomorphic(shared, fresh)
+    site = find_matches(shared, "AX13")[0]
+    out = apply(shared, site)
+    other = ({0, 1} - set(site.node_map.values())).pop()
+    assert out.nodes[other] is p and shared.nodes[0] is shared.nodes[1] is p
+    assert netlists_isomorphic(shared, fresh)
+    assert netlists_isomorphic(out, apply(fresh, find_matches(fresh, "AX13")[0]))
+    assert not netlists_isomorphic(out, fresh)
 
 
 # each names its kind of type error; every one must reach to_netlist's check

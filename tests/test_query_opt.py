@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import time
 
 import pytest
 
+import cpbs.query_opt
 from cpbs import gallery
 from cpbs.netlist import to_netlist, to_term
 from cpbs.normal_form import normalize
@@ -19,7 +21,7 @@ from cpbs.query_opt import (
     query_profile,
 )
 from cpbs.randgen import random_diagram
-from cpbs.rewrite import ProofStep, apply, find_matches
+from cpbs.rewrite import ProofStep, RuleInstance, apply, find_matches, render_trace, splice
 from cpbs.rules import RULES
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
 from cpbs.terms import (
@@ -142,6 +144,37 @@ def test_trace_head_is_deformation_then_real_steps():
     assert steps[0].rule.startswith("STRUCT")
     assert all(s.rule.startswith("DER") for s in steps[1:])
     assert all(s.direction == "L2R" for s in steps[1:])
+
+
+# SHA-1 of the rendered traces of the gallery and random_diagram(0..99), one per line
+TRACES_DIGEST = "86e91a13ea757d6ba1337007eb11808bd24a72b8"
+
+
+def test_trace_hashes_each_site_as_it_was_matched(monkeypatch):
+    # the reference hashes each site on its way into splice, before the rewrite
+    matched: list[ProofStep] = []
+
+    def hashing_splice(n, inst, base):
+        matched.append(ProofStep(inst.rule, inst.direction, inst.site_hash))
+        return splice(n, inst, base)
+
+    monkeypatch.setattr(cpbs.query_opt, "splice", hashing_splice)
+    named = [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
+             if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+    deformation = ProofStep("STRUCT_YANKING", "L2R", RuleInstance("STRUCT_YANKING", "L2R").site_hash)
+    digest = hashlib.sha1()
+    taken = 0
+    for d in named + [random_diagram(s) for s in range(100)]:
+        matched.clear()
+        steps = optimize_queries_traced(d)[1]
+        if steps:
+            assert steps == [deformation] + matched
+        else:
+            assert matched == []
+        digest.update((render_trace(steps) + "\n").encode())
+        taken += len(matched)
+    assert taken > 100, taken  # 126
+    assert digest.hexdigest() == TRACES_DIGEST
 
 
 def test_random_diagrams_reach_their_bounds():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import re
@@ -358,6 +359,17 @@ def test_trace_rendering():
     steps = replay_derivation("DER18")
     text = render_trace(steps)
     assert text.startswith("AX2 R2L @ ")
+
+
+# SHA-1 of each derived and ancillary rule's replayed trace, rule by rule in name order
+REPLAY_DIGEST = "7cee352464ce6d462dc3b333f579e40e2ac53e87"
+
+
+def test_replayed_traces_render_as_pinned():
+    digest = hashlib.sha1()
+    for target in sorted(_CHAINS):
+        digest.update(f"{target}\n{render_trace(replay_derivation(target))}\n".encode())
+    assert digest.hexdigest() == REPLAY_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,19 @@ def test_gen_validation():
         Gen("frobnicate")
 
 
+def test_wiring_leaves_are_shared_values():
+    # a Gen is frozen, so one object per colour, and per pair of colours, serves every wire
+    for c in (T, V, H):
+        assert ident(c) is ident(c)
+        assert ident(c) == Gen("id", colours=(c,))
+        for c2 in (T, V, H):
+            assert swap(c, c2) is swap(c, c2)
+            assert swap(c, c2) == Gen("swap", colours=(c, c2))
+    assert len({id(ident(c)) for c in (T, V, H)}) == 3
+    assert len({id(swap(a, b)) for a in (T, V, H) for b in (T, V, H)}) == 9
+    assert gate_t("U") is not gate_t("U")  # gates are still built per call
+
+
 def test_configuration_order():
     assert configurations((T,)) == [(V, 0), (H, 0)]
     assert configurations((V, T, H)) == [(V, 0), (V, 1), (H, 1), (H, 2)]

@@ -19,10 +19,12 @@ from cpbs.terms import (
     Trace,
     gate_h,
     gate_v,
+    ident,
     merge_vh,
     par,
     seq,
     split_vh,
+    swap,
     type_of,
 )
 from cpbs.textform import parse, print_term
@@ -98,6 +100,16 @@ class TestParse:
         assert d.first.first is d.second
         assert d.first.second.top is d.first.second.bottom
         assert parse("pbs") is not parse("pbs")  # the cache lives for one call
+
+    def test_wiring_spellings_are_the_shared_leaves(self):
+        # id and swap are the objects ident and swap hand out, in every call
+        for c in (T, V, H):
+            assert parse(f"id[{c.value}]") is ident(c)
+            for c2 in (T, V, H):
+                assert parse(f"swap[{c.value},{c2.value}]") is swap(c, c2)
+        d = parse("id[V] | swap[T,H] ; id[V] | swap[H,T]")
+        assert d.first.top is d.second.top is ident(V)
+        assert d.first.bottom is swap(T, H) and d.second.bottom is swap(H, T)
 
     def test_gate_black_suffix_is_optional(self):
         assert parse("gate[U,T]") == parse("gate[U]")
