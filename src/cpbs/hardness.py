@@ -20,7 +20,7 @@ from .errors import (
     NotEulerian,
 )
 from .netlist import to_netlist
-from .semantics import semantics_table, tables_equal
+from .semantics import _certify, semantics_table
 from .stairs import Staircase
 from .terms import Colour, Empty, Term, Word, count_pbs, gate_t, ident, neg_t, par, permute, seq
 
@@ -134,12 +134,10 @@ def orient_eulerian(g: EulerianGraph, seed: int = 0) -> Orientation:
             i, y = nxt
             used[i] = True
             stack.append((y, (i, x, y)))
-    circuit.reverse()
-    assert len(circuit) == len(g.edges), "graph admits no Eulerian circuit"
-
-    o = _along(g, (tuple(circuit),))
-    assert all(head == o.w[o.sigma[p]] for p, (_, head) in enumerate(o.arcs))
-    return o
+    # a circuit is a one-cycle decomposition: each edge once, each head the next tail
+    dec = CycleDecomposition((tuple(reversed(circuit)),))
+    _check_decomposition(g, dec)
+    return _along(g, dec.cycles)
 
 
 def _along(g: EulerianGraph, cycles: tuple[tuple[Arc, ...], ...]) -> Orientation:
@@ -273,15 +271,10 @@ def max_ecd_bruteforce(g: EulerianGraph) -> CycleDecomposition:
         if used in memo:
             return memo[used]
         e0 = min(i for i in range(g.n) if i not in used)
-        best_rest: tuple[tuple[Arc, ...], ...] | None = None
-        for cycle in cycles_from(e0, used):
-            rest = best(used | {a[0] for a in cycle})
-            cand = (cycle,) + rest
-            if best_rest is None or len(cand) > len(best_rest):
-                best_rest = cand
-        assert best_rest is not None, "even-degree leftover always decomposes"
-        memo[used] = best_rest
-        return best_rest
+        candidates = ((c,) + best(used | {a[0] for a in c}) for c in cycles_from(e0, used))
+        # the first of the longest; an even-degree leftover always decomposes
+        memo[used] = max(candidates, key=len)
+        return memo[used]
 
     return CycleDecomposition(best(frozenset()))
 
@@ -323,6 +316,5 @@ def diagram_from_decomposition(g: EulerianGraph, dec: CycleDecomposition) -> Ter
     if count_pbs(out) != 2 * (g.n - dec.r):
         raise AssertionError("reduction diagram misses 2(|edges| - r) PBS")
     ref_table = semantics_table(to_netlist(build_C_w_sigma(ref.w, ref.sigma)))
-    if not tables_equal(semantics_table(to_netlist(out)), ref_table):
-        raise AssertionError("reduction diagram changes the reference table")
+    _certify(out, ref_table, "reduction diagram changes the reference table")
     return out

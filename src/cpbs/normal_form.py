@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import NotBijective, PreconditionViolated, TypeMismatch
 from .netlist import Netlist, to_netlist
-from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
+from .semantics import SemanticsTable, _certify, is_bijective, semantics_table, tables_equal
 from .terms import (
     _drawn_once,
     GATE_FOR,
@@ -129,10 +129,7 @@ def _synthesize_nf(t: SemanticsTable) -> tuple[NormalForm, Netlist]:
         NfLine(cfg, t.entries[cfg][0], t.entries[cfg][1]) for cfg in configurations(t.in_type)
     )
     nf = NormalForm(t.in_type, t.out_type, lines)
-    n = to_netlist(nf.as_term())
-    if not tables_equal(semantics_table(n), t):
-        raise AssertionError("normal form changes the action table")
-    return nf, n
+    return nf, _certify(nf.as_term(), t, "normal form changes the action table")
 
 
 def normalize(d: Netlist | Term) -> NormalForm:

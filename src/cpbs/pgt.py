@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import NotFound, NotQueryOptimal, PreconditionViolated
 from .netlist import Netlist, to_netlist
 from .query_opt import _queries, query_lower_bounds
-from .semantics import SemanticsTable, chase, semantics_table, tables_equal
+from .semantics import SemanticsTable, _certify, chase, semantics_table
 from .stairs import StairForm, synthesize_stair_form
 from .terms import (
     _GATE_COLOUR,
@@ -116,9 +116,7 @@ def _to_pgt_form(n: Netlist, t: SemanticsTable) -> PgtForm:
     core = synthesize_stair_form(residual)
     gates = tuple(Gen(GATE_FOR[c], n.nodes[nid].word) for nid, c in cut.items())
     form = PgtForm(gates, core)
-    out = to_netlist(form.as_term())
-    if not tables_equal(semantics_table(out), t):
-        raise AssertionError("PGT form changes the action table")
+    out = _certify(form.as_term(), t, "PGT form changes the action table")
     if _pbs(out) > _pbs(n):
         raise AssertionError("PGT form uses more PBS than its input")
     if _queries(out) != queries:

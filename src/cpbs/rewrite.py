@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .errors import DerivationFailed, StaleInstance
 from .netlist import Netlist, netlists_isomorphic, to_netlist
-from .rules import RULES, Rule, WVar, substitute, word_vars
+from .rules import RULES, Rule, substitute, word_vars
 from .semantics import semantics_table, tables_equal
 from .terms import Colour, Gen, Term, Word
 
@@ -114,7 +114,6 @@ def _match_word(pattern: Word, host: Word, binding: dict[str, Word]) -> list[dic
         if host and host[0] == head:
             return _match_word(rest, host[1:], binding)
         return []
-    assert isinstance(head, WVar)
     if head.name in binding:
         bound = binding[head.name]
         if host[: len(bound)] == bound:

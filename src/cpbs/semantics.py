@@ -124,6 +124,15 @@ def tables_equal(t1: SemanticsTable, t2: SemanticsTable) -> bool:
     )
 
 
+def _certify(d: Term, t: SemanticsTable, failure: str) -> Netlist:
+    """The netlist of drawing ``d``, certified to have the table ``t``: raises
+    AssertionError(failure) otherwise, also under ``python -O``."""
+    n = to_netlist(d)
+    if not tables_equal(semantics_table(n), t):
+        raise AssertionError(failure)
+    return n
+
+
 def is_bijective(t: SemanticsTable) -> bool:
     """Whether the configuration part hits each output configuration once."""
     targets = [c for c, _ in t.entries.values()]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import HasGates, NotBijective
 from .netlist import UnionFind, to_netlist
-from .semantics import SemanticsTable, is_bijective, semantics_table, tables_equal
+from .semantics import SemanticsTable, _certify, is_bijective, semantics_table
 from .terms import (
     _drawn_once,
     NEG_FOR,
@@ -313,14 +313,15 @@ def _align(bw, sw):
     s_out: dict[int, int] = {}
     pre: dict[int, bool] = {}
     post: dict[int, bool] = {}
-    assert len(bw) == len(sw), "walk shapes differ"
+    if len(bw) != len(sw):
+        raise AssertionError("walk shapes differ")
     for (be, bd), (se, sd) in zip(bw, sw):
-        assert bd == sd
         cbi, p, cbo, q = be
         csi, s, cso, s2 = se
         # the setdefault calls build the maps, so this must not be an assert
         if (
-            s_in.setdefault(p, s) != s
+            bd != sd
+            or s_in.setdefault(p, s) != s
             or s_out.setdefault(s2, q) != q
             or pre.setdefault(s, cbi != csi) != (cbi != csi)
             or post.setdefault(s2, cbo != cso) != (cbo != cso)
@@ -438,8 +439,7 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
         tuple(sigma2[s] for s in range(off_out)),
     )
     result = sf.as_term()
-    if not tables_equal(semantics_table(to_netlist(result)), t):
-        raise AssertionError("stair form changes the action table")
+    _certify(result, t, "stair form changes the action table")
     if not count_pbs(result) == sf.count_pbs() == (len(t.out_type) - pa.k) + pa.s_L:
         raise AssertionError("stair form misses the PBS lower bound")
     return sf

@@ -127,6 +127,19 @@ class TestSubcommands:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    def test_simulate_skips_blank_and_comment_lines(self, files, capsys):
+        plain = run(capsys, "simulate", files("d.cpbs", SWITCH), "--assign", files("m.tsv", ASSIGN))
+        noted = files("n.tsv", "# the switch's oracles\n\n" + ASSIGN.replace("\n", "\n\n  # 2x2\n", 1))
+        assert run(capsys, "simulate", files("d.cpbs", SWITCH), "--assign", noted) == plain
+
+    @pytest.mark.parametrize("text, error", [
+        ("U\t1,0\t0,0\n", "assignment line 1: 2 entries is not square"),
+        ("U\t1,0\nV\t1,0\t0,0\t0,0\t1,0\n", "assignment matrices must share one dimension"),
+    ])
+    def test_simulate_rejects_a_non_square_row_and_mixed_sizes(self, files, capsys, text, error):
+        code, out, err = run(capsys, "simulate", files("d.cpbs", SWITCH), "--assign", files("m.tsv", text))
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
     @pytest.mark.parametrize("line", ["U", "U 0,0 1,0 1,0 0,0"])
     def test_simulate_rejects_an_assignment_line_without_entries(self, files, capsys, line):
         # a bare letter, or entries separated by spaces, is not a 0x0 matrix

@@ -108,6 +108,7 @@ def test_equality_hash_and_repr(shape):
     assert other != d and d != other
     text = repr(d)
     assert text == repr(same) and text.count("Gen(kind='gate_t', word=('U',)") == n
+    assert repr(Trace(T, d)) == f"Trace(colour={T!r}, body={text})"
 
 
 def test_print_parse_round_trip(shape):

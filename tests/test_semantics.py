@@ -226,6 +226,15 @@ def test_invalid_configuration():
         evaluate(gate_v("U"), (T, 0))
 
 
+def test_evaluate_reads_each_table_entry():
+    diagrams = [getattr(cpbs.gallery, name)() for name in GALLERY]
+    diagrams += [random_diagram(s) for s in range(100)]
+    for d in diagrams:
+        n = to_netlist(d)
+        for c, entry in semantics_table(n).entries.items():
+            assert evaluate(d, c) == evaluate(n, c) == entry, (d, c)
+
+
 def test_tables_are_bijective():
     for seed in range(30):
         d = random_diagram(random.Random(seed))
