@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 from .errors import (
     BudgetExceeded,
     CpbsError,
@@ -21,6 +23,7 @@ from .errors import (
 )
 from .terms import (
     Colour,
+    Configuration,
     Empty,
     Gen,
     Par,
@@ -52,75 +55,44 @@ from .terms import (
     swap,
     type_of,
 )
-from .netlist import Netlist, netlists_isomorphic, to_netlist, to_term
-from .semantics import (
-    Configuration,
-    SemanticsTable,
-    evaluate,
-    is_bijective,
-    semantics_table,
-    tables_equal,
-)
-from .rules import ALL_RULE_IDS, RULES, Rule
-from .rewrite import (
-    ProofStep,
-    RuleInstance,
-    apply,
-    check_soundness,
-    find_matches,
-    replay_derivation,
-)
-from .normal_form import (
-    NormalForm,
-    equivalent,
-    nf_by_rewriting,
-    normalize,
-    synthesize_nf,
-)
-from .query_opt import (
-    QueryProfile,
-    is_query_optimal,
-    optimize_queries,
-    optimize_queries_traced,
-    query_lower_bounds,
-    query_profile,
-)
-from .stairs import (
-    StairForm,
-    Staircase,
-    partition_analysis,
-    pbs_lower_bound,
-    synthesize_stair_form,
-)
-from .pgt import (
-    PgtForm,
-    brute_force_min_pbs,
-    is_query_pbs_optimal_single,
-    to_pgt_form,
-)
-from .hardness import (
-    CycleDecomposition,
-    EulerianGraph,
-    Orientation,
-    build_C_w_sigma,
-    diagram_from_decomposition,
-    max_ecd_bruteforce,
-    orient_eulerian,
-    parse_graph,
-)
-from .randgen import random_diagram
 from .textform import parse, print_term
 
 __version__ = "0.1.0"
 
-# The quantum semantics needs numpy, which takes longer to import than the
-# rest of the package: its names load on first use (PEP 562).
-_QUANTUM_NAMES = frozenset({"GateAssignment", "interpret", "isometry_defect", "quantum_matrix"})
+# The term language above is what every subcommand needs.  Every other
+# name loads with its home module on first use (PEP 562), so a shell call
+# pays only for the modules it runs, and numpy loads only for the quantum
+# semantics.  Each of these modules also resolves under its own name.
+_HOME = {
+    name: module
+    for module, names in {
+        "netlist": "Netlist netlists_isomorphic to_netlist to_term",
+        "semantics": "SemanticsTable evaluate is_bijective semantics_table tables_equal",
+        "rules": "ALL_RULE_IDS RULES Rule",
+        "rewrite": "ProofStep RuleInstance apply check_soundness find_matches replay_derivation",
+        "normal_form": "NormalForm equivalent nf_by_rewriting normalize synthesize_nf",
+        "query_opt": "QueryProfile is_query_optimal optimize_queries optimize_queries_traced "
+        "query_lower_bounds query_profile",
+        "stairs": "StairForm Staircase partition_analysis pbs_lower_bound synthesize_stair_form",
+        "pgt": "PgtForm brute_force_min_pbs is_query_pbs_optimal_single to_pgt_form",
+        "hardness": "CycleDecomposition EulerianGraph Orientation build_C_w_sigma "
+        "diagram_from_decomposition max_ecd_bruteforce orient_eulerian parse_graph",
+        "randgen": "random_diagram",
+        "quantum": "GateAssignment interpret isometry_defect quantum_matrix",
+    }.items()
+    for name in (module, *names.split())
+}
 
 
 def __getattr__(name: str):
-    if name in _QUANTUM_NAMES:
-        from . import quantum
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = importlib.import_module(f"{__name__}.{module}")
+    value = home if name == module else getattr(home, name)
+    globals()[name] = value
+    return value
 
-        return getattr(quantum, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

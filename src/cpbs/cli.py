@@ -14,17 +14,15 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
+import cpbs
+
 from .errors import CpbsError, HasGates
-from .hardness import build_C_w_sigma, orient_eulerian, parse_graph
-from .netlist import to_netlist
-from .normal_form import equivalent, normalize
-from .pgt import _to_pgt_form
-from .query_opt import _optimize_queries, _query_profile, optimize_queries
-from .semantics import semantics_table
-from .stairs import pbs_lower_bound
 from .terms import Colour, Term, count_pbs, type_of, type_str
 from .textform import parse, print_term
 
+# Every other library name is read off its home module when it is called,
+# so a subcommand loads only the modules it runs (see cpbs/__init__.py),
+# and a wrapper put on a home module's function is the one that runs.
 if TYPE_CHECKING:  # numpy and the quantum semantics load only for `simulate`
     import numpy as np
 
@@ -49,7 +47,7 @@ def _word_text(word: tuple[str, ...]) -> str:
 
 
 def _table_tsv(d: Term) -> str:
-    t = semantics_table(to_netlist(d))
+    t = cpbs.semantics.semantics_table(cpbs.netlist.to_netlist(d))
     lines = []
     for (pol, pos), (pol2, pos2), word in t.rows():
         lines.append(f"{pol.value}\t{pos}\t{pol2.value}\t{pos2}\t{_word_text(word)}")
@@ -57,11 +55,11 @@ def _table_tsv(d: Term) -> str:
 
 
 def _bounds_text(d: Term) -> str:
-    n = to_netlist(d)
-    t = semantics_table(n)
-    lines = [_query_profile(n, t).as_tsv()]
+    n = cpbs.netlist.to_netlist(d)
+    t = cpbs.semantics.semantics_table(n)
+    lines = [cpbs.query_opt._query_profile(n, t).as_tsv()]
     try:
-        pbs_bound = str(pbs_lower_bound(t))
+        pbs_bound = str(cpbs.stairs.pbs_lower_bound(t))
     except HasGates:
         pbs_bound = "-"
     lines.append(f"pbs\t{count_pbs(d)}\t{pbs_bound}")
@@ -71,10 +69,8 @@ def _bounds_text(d: Term) -> str:
 def _read_assignment(path: str | None) -> GateAssignment:
     import numpy as np
 
-    from .quantum import GateAssignment
-
     if path is None:
-        return GateAssignment(1, {})
+        return cpbs.quantum.GateAssignment(1, {})
     mats: dict[str, np.ndarray] = {}
     dim = 1
     for lineno, raw in enumerate(_read(path).splitlines(), 1):
@@ -95,7 +91,7 @@ def _read_assignment(path: str | None) -> GateAssignment:
         dim = d
     if any(m.shape != (dim, dim) for m in mats.values()):
         raise ValueError("assignment matrices must share one dimension")
-    return GateAssignment(dim, mats)
+    return cpbs.quantum.GateAssignment(dim, mats)
 
 
 def _matrix_tsv(m: np.ndarray) -> str:
@@ -106,7 +102,7 @@ def _matrix_tsv(m: np.ndarray) -> str:
 
 
 def _dot_text(d: Term) -> str:
-    n = to_netlist(d)
+    n = cpbs.netlist.to_netlist(d)
     out = ["digraph cpbs {", "  rankdir=LR;"]
     for i in range(len(n.in_type)):
         out.append(f'  in{i} [shape=point,xlabel="in{i}"];')
@@ -177,25 +173,23 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "table":
             print(_table_tsv(_load(args.file)))
         elif args.command == "normalize":
-            print(print_term(normalize(_load(args.file)).as_term()))
+            print(print_term(cpbs.normal_form.normalize(_load(args.file)).as_term()))
         elif args.command == "equal":
-            if equivalent(_load(args.file_a), _load(args.file_b)):
+            if cpbs.normal_form.equivalent(_load(args.file_a), _load(args.file_b)):
                 print("equivalent")
             else:
                 print("not equivalent")
                 return 1
         elif args.command == "opt-queries":
-            print(print_term(optimize_queries(_load(args.file))))
+            print(print_term(cpbs.query_opt.optimize_queries(_load(args.file))))
         elif args.command == "opt-pbs":
-            n, t, _ = _optimize_queries(_load(args.file))
-            print(print_term(_to_pgt_form(n, t).as_term()))
+            n, t, _ = cpbs.query_opt._optimize_queries(_load(args.file))
+            print(print_term(cpbs.pgt._to_pgt_form(n, t).as_term()))
         elif args.command == "bounds":
             print(_bounds_text(_load(args.file)))
         elif args.command == "simulate":
-            from . import quantum  # read at call time, so a wrapper put on quantum.quantum_matrix runs
-
-            t = semantics_table(to_netlist(_load(args.file)))
-            print(_matrix_tsv(quantum.quantum_matrix(t, _read_assignment(args.assign))))
+            t = cpbs.semantics.semantics_table(cpbs.netlist.to_netlist(_load(args.file)))
+            print(_matrix_tsv(cpbs.quantum.quantum_matrix(t, _read_assignment(args.assign))))
         elif args.command == "export-dot":
             print(_dot_text(_load(args.file)))
         else:  # reduce-ecd
@@ -205,9 +199,9 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError:
                 print(f"error: CPBS_SEED must be an integer, got {seed_text!r}", file=sys.stderr)
                 return 2
-            g = parse_graph(_read(args.graphfile))
-            o = orient_eulerian(g, seed=seed)
-            print(print_term(build_C_w_sigma(o.w, o.sigma)))
+            g = cpbs.hardness.parse_graph(_read(args.graphfile))
+            o = cpbs.hardness.orient_eulerian(g, seed=seed)
+            print(print_term(cpbs.hardness.build_C_w_sigma(o.w, o.sigma)))
     except (CpbsError, TypeError, SyntaxError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotBijective, PreconditionViolated, TypeMismatch
+from .errors import NotBijective, TypeMismatch
 from .netlist import Netlist, to_netlist
 from .semantics import SemanticsTable, _certify, is_bijective, semantics_table, tables_equal
 from .terms import (
@@ -24,7 +24,6 @@ from .terms import (
     Word,
     WireType,
     configurations,
-    count_generators,
     fold,
     ident,
     identity_of,
@@ -228,11 +227,8 @@ def nf_by_rewriting(d: Term) -> NormalForm:
     Builds the line data bottom-up from per-generator forms, stacking
     for parallel composition, chaining words for sequential composition
     and closing the feedback of traces.  Agrees with synthesize_nf on
-    every diagram; kept as a cross-check.  Guarded to small diagrams.
+    every diagram; kept as a cross-check.
     """
-    size = count_generators(d)
-    if size > 8:
-        raise PreconditionViolated(f"diagram has {size} generators, limit is 8")
     a, b = type_of(d)
     lm = fold(d, _gen_lines, _seq_lines, _par_lines, _trace_lines, ({}, 0, 0))[0]
     lines = tuple(NfLine(cfg, *lm[cfg]) for cfg in configurations(a))

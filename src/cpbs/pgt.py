@@ -264,6 +264,11 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     each PBS and negation multiset meets only the gate bucket that makes
     up the table's ``out_type`` minus ``in_type``.  The balanced
     candidates reach ``_realises`` in the order of the full enumeration.
+
+    The caps bound the exhaustive search that a ``NotFound`` costs.  On a
+    2-vCPU machine, at 6 configurations, 2 queries and 2 negations, one
+    such search took 0.13 s with ``max_pbs=2``, 4.9 s with 3 and over
+    60 s with 4: about 35x per PBS.
     """
     if max_pbs < 0 or neg_budget < 0:
         raise PreconditionViolated("PBS and negation budgets must be non-negative")

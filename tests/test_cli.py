@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -297,14 +298,19 @@ class TestParserReuse:
         assert err == ""
 
 
-# Run in a fresh interpreter: this one has numpy loaded by other tests.
-LAZY_NUMPY_SCRIPT = """
+# Run in a fresh interpreter: this one has numpy and every cpbs module
+# loaded by other tests.
+LAZY_LOADING_SCRIPT = """
 import contextlib, io, json, sys
+def modules():
+    return sorted(n.removeprefix("cpbs.") for n in sys.modules if n.startswith("cpbs."))
 import cpbs
-seen = {"import": "numpy" in sys.modules}
+seen = {"import": "numpy" in sys.modules, "import_modules": modules()}
 import cpbs.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    seen["check_exit"] = cpbs.cli.main(["check", sys.argv[1]])
+for command in ("check", "table", "opt-pbs"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[command + "_exit"] = cpbs.cli.main([command, sys.argv[1]])
+    seen[command + "_modules"] = modules()
 seen["check"] = "numpy" in sys.modules
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -317,20 +323,58 @@ seen["same_function"] = quantum_matrix is cpbs.quantum.quantum_matrix
 print(json.dumps(seen))
 """
 
+TERM_LANGUAGE = ["errors", "terms", "textform"]
+
 
 def test_numpy_loads_only_for_the_quantum_semantics(files):
+    # and each subcommand loads only the cpbs modules it runs
     src = str(Path(cpbs.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", LAZY_NUMPY_SCRIPT, files("d.cpbs", "pbs")],
+        [sys.executable, "-c", LAZY_LOADING_SCRIPT, files("d.cpbs", "pbs")],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert json.loads(done.stdout) == {
         "import": False,
+        "import_modules": TERM_LANGUAGE,
         "check_exit": 0,
+        "check_modules": sorted(TERM_LANGUAGE + ["cli"]),
+        "table_exit": 0,
+        "table_modules": sorted(TERM_LANGUAGE + ["cli", "netlist", "semantics"]),
+        "opt-pbs_exit": 0,
+        "opt-pbs_modules": sorted(TERM_LANGUAGE + ["cli", "netlist", "normal_form", "pgt", "query_opt",
+                                                   "rewrite", "rules", "semantics", "stairs"]),
         "check": False,
         "simulate_exit": 0,
         "simulate_rows": 4,
         "simulate": True,
         "same_function": True,
     }
+
+
+# what dir(cpbs) listed while the package loaded eagerly, less its private names
+PUBLIC_NAMES = """
+    ALL_RULE_IDS BudgetExceeded Colour Configuration CpbsError CycleDecomposition DerivationFailed Empty
+    EulerianGraph Gen HasGates InvalidConfiguration InvalidDecomposition LengthMismatch MissingAssignment
+    Netlist NormalForm NotBijective NotEulerian NotFound NotQueryOptimal Orientation Par PgtForm
+    PreconditionViolated ProofStep QueryProfile RULES Rule RuleInstance SemanticsTable Seq StairForm
+    Staircase StaleInstance Term Trace TypeMismatch annotations apply brute_force_min_pbs build_C_w_sigma
+    check_soundness count_neg count_pbs count_queries diagram_from_decomposition equivalent errors evaluate
+    find_matches gate_h gate_t gate_v hardness ident identity_of is_bijective is_query_optimal
+    is_query_pbs_optimal_single max_ecd_bruteforce merge_hv merge_vh neg_hv neg_t neg_vh netlist
+    netlists_isomorphic nf_by_rewriting normal_form normalize optimize_queries optimize_queries_traced
+    orient_eulerian par parse parse_graph partition_analysis pbs4 pbs_ht_ht pbs_lower_bound pbs_th_th
+    pbs_tv_vt pbs_vt_tv pgt print_term query_lower_bounds query_opt query_profile randgen random_diagram
+    replay_derivation rewrite rules semantics semantics_table seq split_hv split_vh stairs swap synthesize_nf
+    synthesize_stair_form tables_equal terms textform to_netlist to_pgt_form to_term type_of
+""".split()
+
+
+def test_package_namespace():
+    for name, module in cpbs._HOME.items():
+        value = getattr(cpbs, name)
+        home = importlib.import_module(f"cpbs.{module}")
+        assert value is (home if name == module else getattr(home, name)), name
+    assert set(dir(cpbs)) >= set(PUBLIC_NAMES) | set(cpbs._HOME)
+    with pytest.raises(AttributeError, match="^module 'cpbs' has no attribute 'nope'$"):
+        cpbs.nope

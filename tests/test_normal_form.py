@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cpbs.errors import NotBijective, PreconditionViolated, TypeMismatch
+from cpbs.errors import NotBijective, TypeMismatch
 from cpbs.normal_form import NfLine, NormalForm, equivalent, nf_by_rewriting, normalize, synthesize_nf
 from cpbs.randgen import random_diagram
 from cpbs.semantics import SemanticsTable, semantics_table, tables_equal
@@ -115,10 +115,14 @@ def test_both_routes_agree_on_random_diagrams():
     assert nf_by_rewriting(d) == normalize(d)
 
 
-def test_induction_route_is_guarded():
-    wide = seq(*[gate_t(l) for l in "ABCDEFGHI"])
-    with pytest.raises(PreconditionViolated):
-        nf_by_rewriting(wide)
+def test_induction_route_agrees_at_scale():
+    # no size cap: the route checks the table synthesis on any diagram
+    pairs = par(*[seq(gate_t("U"), gate_t("V"))] * 1_600)
+    nested = gate_t("U")
+    for _ in range(4_000):  # each level feeds a splitter's second output back
+        nested = Trace(T, seq(par(nested, ident(T)), pbs4()))
+    for d in (seq(*[gate_t(l) for l in "ABCDEFGHI"]), pairs, nested):
+        assert nf_by_rewriting(d) == normalize(d)
 
 
 # ---------------------------------------------------------------------------

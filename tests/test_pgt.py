@@ -312,12 +312,12 @@ class TestToPgtForm:
                 except AssertionError as e:
                     print("raised:", e)
 
-            real_core = cli._optimize_queries
+            real_core = query_opt._optimize_queries
             # the switch's queries, one U and one V, but U before V on both photons
-            cli._optimize_queries = lambda d: (to_netlist(seq(gate_t("U"), gate_t("V"))),
-                                               *real_core(d)[1:])
+            query_opt._optimize_queries = lambda d: (to_netlist(seq(gate_t("U"), gate_t("V"))),
+                                                     *real_core(d)[1:])
             run({str(paths["quantum_switch"])!r})
-            cli._optimize_queries = real_core
+            query_opt._optimize_queries = real_core
 
             real_nf = query_opt._synthesize_nf
 
