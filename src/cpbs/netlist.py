@@ -20,11 +20,12 @@ from .terms import (
     Colour,
     Empty,
     Gen,
+    Par,
+    Seq,
     Term,
     Trace,
     WireType,
     _FIXED_TYPES,
-    fold,
     identity_of,
     ident,
     layer,
@@ -98,17 +99,25 @@ class UnionFind:
 # term -> netlist
 # ---------------------------------------------------------------------------
 
+# markers on to_netlist's stack: join a Seq's two middles, close a Trace
+_JOIN = object()
+_CLOSE = object()
+
+
 def to_netlist(d: Term) -> Netlist:
     """Elaborate a well-typed term into its netlist, numbering nodes in leaf order.
 
     Node n is the n-th leaf of d that is not an id, swap or perm: the
-    ``Gen`` object itself, not a copy.  One fold types and wires the
-    term.  Wire ends are integers: a node's ports, one point per wire
-    of an id, swap or perm, and the boundary ports.  A part's value is
-    its lists of ends for incoming and outgoing wires; ``;`` joins the
-    ends that meet, once their colours agree, and a trace joins its
-    last two.  Each class of joined ends is one wire, or a loop if no
-    port is in it; wires are listed in the order of their classes'
+    ``Gen`` object itself, not a copy.  One stack walk types and wires
+    the term.  Wire ends are integers: a node's ports, one point per
+    wire of an id, swap or perm, and the boundary ports.  Each part is
+    visited with the lists of ends its group gathers for incoming and
+    outgoing wires, and appends its own ends there: the parts of a
+    ``|`` share their group's lists, and the parts of a ``;`` each get
+    a fresh middle list, whose ends are joined once both parts are
+    done and their colours agree.  A trace joins the last two ends its
+    body added.  Each class of joined ends is one wire, or a loop if
+    no port is in it; wires are listed in the order of their classes'
     first ends.  On a type error the message comes from type_of.
     """
     parent: list[int] = []  # union-find over ends; a class's root is its first end
@@ -131,63 +140,71 @@ def to_netlist(d: Term) -> Netlist:
         else:
             parent[x] = y
 
-    def gen(t: Gen) -> tuple[list, list]:
-        e = len(parent)
-        cs = t.colours  # only id, swap and perm have colours: wiring, one end per wire
-        if len(cs) == 1:
-            parent.append(e)
-            colour.append(cs[0])
-            return [e], [e]
-        if cs:
-            ins = list(range(e, e + len(cs)))
-            parent.extend(ins)
-            colour.extend(cs)
-            outs = ins[:]
-            for v, s in zip(ins, t.wire_slots):
-                outs[s] = v
-            return ins, outs
-        n = len(nodes)
-        nodes[n] = t
-        ta, tb = _FIXED_TYPES[t.kind]
-        mid = e + len(ta)
-        ins, outs = list(range(e, mid)), list(range(mid, mid + len(tb)))
-        parent.extend(ins)
-        parent.extend(outs)
-        colour.extend(ta)
-        colour.extend(tb)
-        for k, x in enumerate(ins):
-            sinks[x] = ("nin", n, k)
-        for k, x in enumerate(outs):
-            sources[x] = ("nout", n, k)
-        return ins, outs
-
-    def then(f: tuple, s: tuple) -> tuple:
-        outs, ins = f[1], s[0]
-        if len(outs) != len(ins):
-            mismatch()
-        for x, y in zip(outs, ins):
-            if colour[x] != colour[y]:
+    ins: list[int] = []
+    outs: list[int] = []
+    # (part, its group's incoming ends, its group's outgoing ends); leaves
+    # are visited left to right, so ends are numbered in leaf order
+    todo: list[tuple] = [(d, ins, outs)]
+    pop = todo.pop
+    while todo:
+        x, a, b = pop()
+        t = type(x)
+        if t is Gen:
+            e = len(parent)
+            cs = x.colours  # only id, swap and perm have colours: wiring, one end per wire
+            if len(cs) == 1:
+                parent.append(e)
+                colour.append(cs[0])
+                a.append(e)
+                b.append(e)
+            elif cs:
+                wired = range(e, e + len(cs))
+                parent.extend(wired)
+                colour.extend(cs)
+                a.extend(wired)
+                o = list(wired)
+                for v, s in zip(wired, x.wire_slots):
+                    o[s] = v
+                b.extend(o)
+            else:
+                n = len(nodes)
+                nodes[n] = x
+                ta, tb = _FIXED_TYPES[x.kind]
+                mid = e + len(ta)
+                end = mid + len(tb)
+                parent.extend(range(e, end))
+                colour.extend(ta)
+                colour.extend(tb)
+                for k in range(len(ta)):
+                    sinks[e + k] = ("nin", n, k)
+                for k in range(len(tb)):
+                    sources[mid + k] = ("nout", n, k)
+                a.extend(range(e, mid))
+                b.extend(range(mid, end))
+        elif t is Par:
+            todo += ((x.bottom, a, b), (x.top, a, b))
+        elif t is Seq:
+            mid_out: list[int] = []
+            mid_in: list[int] = []
+            todo += ((_JOIN, mid_out, mid_in), (x.second, mid_in, b), (x.first, a, mid_out))
+        elif x is _JOIN:  # a: the first part's outgoing ends, b: the second's incoming
+            if len(a) != len(b):
                 mismatch()
-            join(x, y)
-        return f[0], s[1]
+            for u, v in zip(a, b):
+                if colour[u] != colour[v]:
+                    mismatch()
+                join(u, v)
+        elif t is Trace:
+            todo += ((_CLOSE, (x.colour, len(a), len(b), a), b), (x.body, a, b))
+        elif x is _CLOSE:
+            c, na, nb, a = a
+            # the body must add an end on each side: the ends before it are a neighbour's
+            if len(a) == na or len(b) == nb or colour[a[-1]] != c or colour[b[-1]] != c:
+                mismatch()
+            join(b.pop(), a.pop())
+        elif t is not Empty:
+            raise TypeError(f"not a diagram term: {t.__name__}")
 
-    def beside(t: tuple, b: tuple) -> tuple:
-        # every generator keeps its count of polarisation modes, so a part has
-        # inputs exactly when it has outputs; one with neither may be Empty's value
-        if not t[0]:
-            return b
-        t[0].extend(b[0])
-        t[1].extend(b[1])
-        return t
-
-    def feedback(c: Colour, body: tuple) -> tuple:
-        ins, outs = body
-        if not ins or not outs or colour[ins[-1]] != c or colour[outs[-1]] != c:
-            mismatch()
-        join(outs.pop(), ins.pop())
-        return body
-
-    ins, outs = fold(d, gen, then, beside, feedback, ((), ()))
     a = tuple([colour[x] for x in ins])
     b = tuple([colour[x] for x in outs])
     for i, x in enumerate(ins):
@@ -351,19 +368,25 @@ def to_term(n: Netlist) -> Term:
     colours = list(in_ext)  # the colour of each frontier wire, kept beside it
     layers: list[Term] = []
 
-    # draws each permutation in the paper's generators: one layer per adjacent swap
+    # draws each permutation in the paper's generators: one layer per adjacent
+    # swap, in bubble-sort order.  The wires keep their slots, colours and id
+    # leaves in rows swapped in place; a pass stops at the previous pass's last
+    # swap, as every wire past it is already in place.
     def swap_layers(colours: list[Colour], slots: list[int]) -> list[Term]:
-        arr = list(range(len(slots)))
+        slots, colours = list(slots), list(colours)
+        row = [ident(c) for c in colours]
         out: list[Term] = []
-        changed = True
-        while changed:
-            changed = False
-            for s in range(len(arr) - 1):
-                if slots[arr[s]] > slots[arr[s + 1]]:
-                    c0, c1 = colours[arr[s]], colours[arr[s + 1]]
-                    out.append(layer([colours[a] for a in arr], s, swap(c0, c1)))
-                    arr[s], arr[s + 1] = arr[s + 1], arr[s]
-                    changed = True
+        end = len(slots) - 1
+        while end > 0:
+            last = 0
+            for s in range(end):
+                if slots[s] > slots[s + 1]:
+                    out.append(par(*row[:s], swap(colours[s], colours[s + 1]), *row[s + 2 :]))
+                    slots[s], slots[s + 1] = slots[s + 1], slots[s]
+                    colours[s], colours[s + 1] = colours[s + 1], colours[s]
+                    row[s], row[s + 1] = row[s + 1], row[s]
+                    last = s
+            end = last
         return out
 
     # a node is ready once every node feeding it is emitted: it awaits no more inputs

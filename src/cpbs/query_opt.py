@@ -18,7 +18,7 @@ from .netlist import Netlist, to_netlist, to_term
 from .normal_form import _synthesize_nf
 from .rewrite import ProofStep, RuleInstance, _compile, match_at, splice
 from .semantics import SemanticsTable, _certify, semantics_table
-from .terms import GATE_KINDS, Term, Word, term_size
+from .terms import GATE_KINDS, Term, Word
 
 # ---------------------------------------------------------------------------
 # counting and the lower bound
@@ -141,7 +141,10 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstan
     bounds = query_lower_bounds(t)
     if _queries(n) == bounds:
         return n, t, []
-    budget = 10 * max(1, term_size(d)) ** 2
+    # each letter of a gate is read on at most two rows, so with S the input's
+    # letters (a box without one counting 1) the run makes at most 2S splits
+    # and S fusions: 1 + 3S steps, within this budget
+    budget = 10 * max(1, sum(max(1, len(g.word)) for g in n.nodes.values())) ** 2
     # every site below is named before its step, so nothing searches the
     # whole netlist: the normal form's netlist is rewritten in place, and
     # each step matches its rule on the one or two gates it rewrites

@@ -225,7 +225,8 @@ def word_vars(t: Term) -> dict[str, WVar]:
 
 
 def substitute(t: Term, binding: dict[str, tuple[str, ...]]) -> Term:
-    """Replace every word variable by its bound letter sequence."""
+    """Replace every word variable by its bound letter sequence.  A lone box,
+    as ``splice`` passes one replacement box at a time, skips the fold."""
 
     def gen(g: Gen) -> Gen:
         if not g.word:
@@ -238,5 +239,7 @@ def substitute(t: Term, binding: dict[str, tuple[str, ...]]) -> Term:
                 word.append(el)
         return Gen(g.kind, tuple(word), g.colours)
 
+    if type(t) is Gen:
+        return gen(t)
     return fold(t, gen, Seq, Par, Trace, Empty())
 

@@ -541,6 +541,10 @@ ILL_TYPED = {
     "trace-one-side": Trace(H, Seq(split_vh(), par(ident(V), gate_h("U")))),
     "trace-empty": Trace(T, Empty()),
     "trace-inside": Seq(gate_t("U"), Trace(T, Trace(T, pbs4()))),
+    # a trace over nothing must not close over a neighbour's wire
+    "trace-empty-after-wire": par(ident(T), Trace(T, Empty())),
+    "trace-empty-before-wire": Par(Trace(T, Empty()), ident(T)),
+    "trace-empty-after-seq": Seq(par(ident(T), ident(T)), par(ident(T), Trace(T, Empty()))),
 }
 
 

@@ -28,6 +28,7 @@ from cpbs.terms import (
     Colour,
     Empty,
     Par,
+    STRUCT_KINDS,
     Trace,
     count_queries,
     gate_h,
@@ -186,6 +187,16 @@ def test_random_diagrams_reach_their_bounds():
             assert count_queries(out, u) == k, (seed, u)
         assert is_query_optimal(out), seed
         assert len(steps) <= 10 * max(1, term_size(d)) ** 2
+
+
+def test_steps_stay_within_three_per_input_letter():
+    """The rule budget's reason: each letter of a gate is read on at most two
+    rows, so with S the input's letters (a box without one counting 1) the
+    run splits at most 2S times and fuses at most S times."""
+    for seed in range(400):
+        d = random_diagram(seed, max_generators=16)
+        size = sum(max(1, len(g.word)) for g in generators(d) if g.kind not in STRUCT_KINDS)
+        assert len(optimize_queries_traced(d)[1]) <= 1 + 3 * size, seed
 
 
 def test_remaining_coloured_gates_are_single_letter_and_distinct():

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import copy
+import hashlib
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from cpbs.randgen import random_diagram
 from cpbs.terms import (
     Colour,
     Empty,
@@ -162,3 +168,38 @@ def test_operator_sugar():
     d = split_vh() >> (gate_v("U") | gate_h("U"))
     assert isinstance(d, Seq)
     assert type_of(d) == ((T,), (V, H))
+
+
+COMPOSITES = [
+    Seq(split_vh(), par(gate_v("U"), gate_h("V"))),
+    Par(ident(T), Trace(V, swap(V, V))),
+    Trace(T, seq(pbs4(), par(gate_t("UV"), ident(T)), pbs4())),
+]
+
+
+@pytest.mark.parametrize("d", COMPOSITES, ids=["Seq", "Par", "Trace"])
+def test_composites_are_frozen_slotted_values(d):
+    assert not hasattr(d, "__dict__")
+    for name in type(d).__slots__:
+        with pytest.raises(FrozenInstanceError):
+            setattr(d, name, ident(T))
+        with pytest.raises(FrozenInstanceError):
+            delattr(d, name)
+    with pytest.raises(FrozenInstanceError):
+        d.extra = 1
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert type(twin) is type(d)
+        assert twin == d
+        assert hash(twin) == hash(d)
+
+
+# SHA-1 of repr(random_diagram(s)) for s = 0..499, taken when Seq, Par and
+# Trace were frozen dataclasses: the slotted nodes build and print the same terms
+RANDOM_REPRS_DIGEST = "c908cd367eb0eea05c315bb09c6a788e6ef097de"
+
+
+def test_random_diagrams_build_and_print_as_before():
+    digest = hashlib.sha1()
+    for s in range(500):
+        digest.update(repr(random_diagram(s)).encode())
+    assert digest.hexdigest() == RANDOM_REPRS_DIGEST
