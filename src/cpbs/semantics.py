@@ -134,6 +134,9 @@ def _certify(d: Term, t: SemanticsTable, failure: str) -> Netlist:
 
 
 def is_bijective(t: SemanticsTable) -> bool:
-    """Whether the configuration part hits each output configuration once."""
+    """Whether the configuration part maps exactly the input configurations
+    and hits each output configuration once."""
+    if t.entries.keys() != set(configurations(t.in_type)):
+        return False
     targets = [c for c, _ in t.entries.values()]
     return sorted(targets) == sorted(configurations(t.out_type))

@@ -2,7 +2,9 @@
 
 A gate-free action table splits input and output positions into blocks
 (the finest partition closed under "some configuration crosses between
-them").  Each block is realised by a single staircase; the whole
+them").  In a bijective table each block is a forced trail, read off
+by walking it; a table that is not a bijection raises NotBijective.
+Each block is realised by a single staircase; the whole
 diagram is a permutation, a layer of optional negations, the parallel
 staircases, negations again, and a final permutation.  The PBS count of
 that shape meets the proven lower bound (|out| - blocks) + merges.
@@ -11,10 +13,11 @@ that shape meets the proven lower bound (|out| - blocks) + merges.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import HasGates, NotBijective
-from .netlist import UnionFind, to_netlist
+from .netlist import to_netlist
 from .semantics import SemanticsTable, _certify, is_bijective, semantics_table
 from .terms import (
     _drawn_once,
@@ -165,99 +168,36 @@ def _side_by_side(gens: list[Gen], takes: list, outs: list, colour_of: dict) -> 
 
 
 # ---------------------------------------------------------------------------
-# partition of a gate-free table into blocks
+# blocks of a gate-free table, read off their forced trails
 # ---------------------------------------------------------------------------
 
 Edge = tuple[Colour, int, Colour, int]  # (pol in, pos in, pol out, pos out)
+Walk = tuple[tuple[Edge, bool], ...]
+Index = tuple[dict[int, list[Edge]], dict[int, list[Edge]]]  # edges by input, by output position
+Block = tuple[tuple[int, ...], tuple[int, ...], int, list[Walk]]  # inputs, outputs, case, candidates
+_CASE_OF_STARTS = {(1, 0): 1, (1, 1): 2, (2, 0): 3, (0, 2): 4}  # by forward and backward walks
 
 
 def _edges_of(t: SemanticsTable) -> list[Edge]:
     return sorted((c, p, c2, p2) for (c, p), ((c2, p2), _) in t.entries.items())
 
 
-@dataclass(frozen=True)
-class PartitionAnalysis:
-    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (inputs, outputs)
-    case_of_block: tuple[int, ...]
-    k: int
-    s_L: int
-    s_R: int
+def _index(edges: list[Edge]) -> Index:
+    index: Index = ({}, {})
+    for e in edges:
+        index[0].setdefault(e[1], []).append(e)
+        index[1].setdefault(e[3], []).append(e)
+    return index
 
 
-def _require_gate_free(t: SemanticsTable) -> None:
-    for _, _, word in t.rows():
-        if word:
-            raise HasGates(f"table row carries the word {word!r}")
-
-
-def partition_analysis(t: SemanticsTable) -> PartitionAnalysis:
-    """Finest joint partition of input and output positions.
-
-    Two positions share a block when some configuration crosses between
-    them; blocks are reported sorted by least input position and
-    classified into the four realisable shapes.
-    """
-    _require_gate_free(t)
-    uf = UnionFind()
-    for p in range(len(t.in_type)):
-        uf.add(("in", p))
-    for q in range(len(t.out_type)):
-        uf.add(("out", q))
-    for _, p, _, q in _edges_of(t):
-        uf.union(("in", p), ("out", q))
-
-    blocks = []
-    for members in uf.classes().values():
-        ins = tuple(sorted(p for side, p in members if side == "in"))
-        outs = tuple(sorted(q for side, q in members if side == "out"))
-        blocks.append((ins, outs))
-    blocks.sort(key=lambda b: (b[0] + b[1])[0:1])
-
-    cases = []
-    for ins, outs in blocks:
-        ci = [p for p in ins if t.in_type[p] != T]
-        co = [q for q in outs if t.out_type[q] != T]
-        if len(ins) == len(outs) and not ci and not co:
-            cases.append(1)
-        elif len(ins) == len(outs) and len(ci) == 1 and len(co) == 1:
-            cases.append(2)
-        elif len(ins) == len(outs) + 1 and len(ci) == 2 and not co:
-            cases.append(3)
-        elif len(outs) == len(ins) + 1 and not ci and len(co) == 2:
-            cases.append(4)
-        else:
-            raise AssertionError(f"block {ins}/{outs} fits no staircase shape")
-    return PartitionAnalysis(
-        tuple(blocks),
-        tuple(cases),
-        len(blocks),
-        cases.count(3),
-        cases.count(4),
-    )
-
-
-def pbs_lower_bound(t: SemanticsTable) -> int:
-    """No equivalent diagram has fewer PBS than (|out| - blocks) + merges."""
-    pa = partition_analysis(t)
-    return (len(t.out_type) - pa.k) + pa.s_L
-
-
-# ---------------------------------------------------------------------------
-# alternating walks and alignment
-# ---------------------------------------------------------------------------
-
-def _walk(edges: list[Edge], start: Edge, forward: bool) -> tuple[tuple[Edge, bool], ...]:
+def _walk(index: Index, start: Edge, forward: bool) -> Walk:
     """Trail through the block, alternating input and output endpoints.
 
     Every input or output position has at most two incident
     configuration edges, so the trail is forced; it ends at a position
     of degree one or closes into a cycle.
     """
-    by_in: dict[int, list[Edge]] = {}
-    by_out: dict[int, list[Edge]] = {}
-    for e in edges:
-        by_in.setdefault(e[1], []).append(e)
-        by_out.setdefault(e[3], []).append(e)
+    by_in, by_out = index
     steps = [(start, forward)]
     edge, fwd = start, forward
     while True:
@@ -271,8 +211,78 @@ def _walk(edges: list[Edge], start: Edge, forward: bool) -> tuple[tuple[Edge, bo
         steps.append((edge, fwd))
 
 
+def _blocks(t: SemanticsTable) -> list[Block]:
+    """The blocks of a bijective gate-free table, by least input.
+
+    A position has one edge per polarisation its colour admits, so a block
+    is a path between its two coloured positions, walked from both ends,
+    or a cycle through black ones, walked from its least input's V edge.
+    Where its walks start gives its case; its candidates are its forward
+    walks, or its backward ones when it has none.
+    """
+    for _, word in t.entries.values():
+        if word:
+            raise HasGates(f"table row carries the word {word!r}")
+    if not is_bijective(t):
+        raise NotBijective(f"action on {t.in_type} is not a bijection onto {t.out_type}")
+    index = by_in, by_out = _index(_edges_of(t))
+    least: dict[int, int] = {}  # input position -> least input of its block
+    found: dict[int, tuple] = {}  # least input -> inputs, outputs, forward and backward walks
+    coloured = [(by_in[p][0], True) for p, c in enumerate(t.in_type) if c != T]
+    coloured += [(by_out[q][0], False) for q, c in enumerate(t.out_type) if c != T]
+    # drawn lazily, so each cycle is walked once, from the first of its inputs reached
+    cycles = (
+        (next(e for e in by_in[p] if e[0] == V), True) for p in range(len(t.in_type)) if p not in least
+    )
+    for start, forward in itertools.chain(coloured, cycles):
+        steps = _walk(index, start, forward)
+        if start[1] not in least:
+            ins = tuple(sorted({e[1] for e, _ in steps}))
+            least.update(dict.fromkeys(ins, ins[0]))
+            found[ins[0]] = (ins, tuple(sorted({e[3] for e, _ in steps})), [], [])
+        found[least[start[1]]][2 if forward else 3].append(steps)
+    return [
+        (ins, outs, _CASE_OF_STARTS[len(fwd), len(bwd)], fwd or bwd)
+        for ins, outs, fwd, bwd in (found[p] for p in sorted(found))
+    ]
+
+
+@dataclass(frozen=True)
+class PartitionAnalysis:
+    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (inputs, outputs)
+    case_of_block: tuple[int, ...]
+    k: int
+    s_L: int
+    s_R: int
+
+
+def partition_analysis(t: SemanticsTable) -> PartitionAnalysis:
+    """Finest joint partition of input and output positions.
+
+    Two positions share a block when some configuration crosses between
+    them.  Blocks are read off their forced trails (``_blocks``), sorted
+    by least input position and classified into the four realisable
+    shapes; a table that is not a bijection raises NotBijective.
+    """
+    blocks = _blocks(t)
+    cases = tuple(case for _, _, case, _ in blocks)
+    ends = tuple((ins, outs) for ins, outs, _, _ in blocks)
+    return PartitionAnalysis(ends, cases, len(blocks), cases.count(3), cases.count(4))
+
+
+def pbs_lower_bound(t: SemanticsTable) -> int:
+    """No equivalent diagram has fewer PBS than (|out| - blocks) + merges,
+    blocks read off forced trails; a non-bijective table raises NotBijective."""
+    pa = partition_analysis(t)
+    return (len(t.out_type) - pa.k) + pa.s_L
+
+
+# ---------------------------------------------------------------------------
+# staircase walks and alignment
+# ---------------------------------------------------------------------------
+
 @functools.cache
-def _stair_walks(sc: Staircase) -> tuple[tuple[tuple[Edge, bool], ...], ...]:
+def _stair_walks(sc: Staircase) -> tuple[Walk, ...]:
     """Candidate walks through the staircase's own table.
 
     Paths have a single admissible start; the all-black cycle may begin
@@ -283,23 +293,14 @@ def _stair_walks(sc: Staircase) -> tuple[tuple[tuple[Edge, bool], ...], ...]:
     walks are worked out once per process and shared read-only.
     """
     edges = _edges_of(semantics_table(to_netlist(sc.as_term())))
+    index = _index(edges)
     s = sc.size
     if sc.kind == "black_ladder":
-        return tuple(_walk(edges, next(e for e in edges if e[0] == c), True) for c in (H, V))
+        return tuple(_walk(index, next(e for e in edges if e[0] == c), True) for c in (H, V))
     if sc.kind == "red_merge_inverse":  # walked back from its blue output
-        return (_walk(edges, next(e for e in edges if e[2:] == (H, 0)), False),)
+        return (_walk(index, next(e for e in edges if e[2:] == (H, 0)), False),)
     start = {"red_ladder": (V, s), "blue_ladder": (H, s), "red_merge": (H, 0)}[sc.kind]
-    return (_walk(edges, next(e for e in edges if e[:2] == start), True),)
-
-
-def _block_walks(t: SemanticsTable, ins, outs, case: int) -> list[tuple[tuple[Edge, bool], ...]]:
-    """Candidate walks through one block, starting from each admissible end."""
-    edges = sorted((c, p, *t.entries[c, p][0]) for p in ins for c in (H, V) if (c, p) in t.entries)
-    if case == 1:
-        return [_walk(edges, next(e for e in edges if e[:2] == (V, ins[0])), True)]
-    if case < 4:  # from its one or two coloured inputs, in position order
-        return [_walk(edges, next(e for e in edges if e[1] == p), True) for p in ins if t.in_type[p] != T]
-    return [_walk(edges, next(e for e in edges if e[3] == q), False) for q in outs if t.out_type[q] != T]
+    return (_walk(index, next(e for e in edges if e[:2] == start), True),)
 
 
 def _align(bw, sw):
@@ -403,21 +404,17 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
     and the staircase's side by side to read off the slot assignment,
     with negations absorbing every polarisation difference.
     """
-    _require_gate_free(t)
-    if not is_bijective(t):
-        raise NotBijective(f"action on {t.in_type} is not a bijection")
-    pa = partition_analysis(t)
-
+    blocks = _blocks(t)
     sigma1: dict[int, int] = {}
     sigma2: dict[int, int] = {}
     pre: dict[int, bool] = {}
     post: dict[int, bool] = {}
     cases: list[Staircase] = []
     off_in = off_out = 0
-    for (ins, outs), case in zip(pa.blocks, pa.case_of_block):
+    for ins, outs, case, walks in blocks:
         sc = _staircase_for(t, ins, outs, case)
         stair_walks = _stair_walks(sc)
-        fits = (_align(bw, sw) for bw in _block_walks(t, ins, outs, case) for sw in stair_walks)
+        fits = (_align(bw, sw) for bw in walks for sw in stair_walks)
         _, s_in, s_out, b_pre, b_post = min(fits, key=lambda fit: fit[0])  # the first of the fewest
         for p, s in s_in.items():
             sigma1[p] = off_in + s
@@ -440,6 +437,7 @@ def synthesize_stair_form(t: SemanticsTable) -> StairForm:
     )
     result = sf.as_term()
     _certify(result, t, "stair form changes the action table")
-    if not count_pbs(result) == sf.count_pbs() == (len(t.out_type) - pa.k) + pa.s_L:
+    merges = sum(case == 3 for _, _, case, _ in blocks)
+    if not count_pbs(result) == sf.count_pbs() == (len(t.out_type) - len(blocks)) + merges:
         raise AssertionError("stair form misses the PBS lower bound")
     return sf

@@ -14,7 +14,7 @@ import pytest
 
 import cpbs
 from cpbs import gallery
-from cpbs.netlist import Netlist, UnionFind, _back_wires, netlists_isomorphic, to_netlist, to_term
+from cpbs.netlist import Netlist, _back_wires, netlists_isomorphic, to_netlist, to_term
 from cpbs.normal_form import normalize
 from cpbs.query_opt import _optimize_queries
 from cpbs.randgen import random_diagram
@@ -49,6 +49,8 @@ from cpbs.terms import (
     type_of,
 )
 from cpbs.textform import parse, print_term
+
+from union_find import UnionFind
 
 T, V, H = Colour.T, Colour.V, Colour.H
 

@@ -81,6 +81,8 @@ def test_rejects_non_bijective_table():
     )
     with pytest.raises(NotBijective):
         synthesize_nf(squashed)
+    with pytest.raises(NotBijective):  # the H configuration has no entry
+        synthesize_nf(SemanticsTable((T,), (V,), {(V, 0): ((V, 0), ())}))
 
 
 def test_empty_diagram_and_loops_share_a_form():

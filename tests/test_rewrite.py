@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cpbs import gallery
 from cpbs.errors import DerivationFailed, StaleInstance
-from cpbs.netlist import Netlist, UnionFind, netlists_isomorphic, to_netlist, to_term
+from cpbs.netlist import Netlist, netlists_isomorphic, to_netlist, to_term
 from cpbs.randgen import random_diagram
 from cpbs.rewrite import (
     _CHAINS,
@@ -48,6 +48,9 @@ from cpbs.terms import (
     seq,
     split_vh,
 )
+
+from union_find import UnionFind
+
 
 # ---------------------------------------------------------------------------
 # word matching

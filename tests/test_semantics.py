@@ -10,7 +10,7 @@ from cpbs.hardness import build_C_w_sigma, corpus, orient_eulerian, parse_graph
 from cpbs.netlist import to_netlist
 from cpbs.pgt import _cut
 from cpbs.randgen import random_diagram
-from cpbs.semantics import _ACTION, chase, evaluate, is_bijective, semantics_table, tables_equal
+from cpbs.semantics import _ACTION, SemanticsTable, chase, evaluate, is_bijective, semantics_table, tables_equal
 from cpbs.terms import (
     GATE_KINDS,
     Colour,
@@ -239,6 +239,12 @@ def test_tables_are_bijective():
     for seed in range(30):
         d = random_diagram(random.Random(seed))
         assert is_bijective(semantics_table(d)), f"seed {seed}"
+
+
+def test_a_table_without_every_input_configuration_is_no_bijection():
+    assert not is_bijective(SemanticsTable((T,), (V,), {(V, 0): ((V, 0), ())}))
+    # every output configuration hit once, but from an H photon a V wire cannot carry
+    assert not is_bijective(SemanticsTable((V,), (T,), {(V, 0): ((V, 0), ()), (H, 0): ((H, 0), ())}))
 
 
 def test_netlist_interpreter_matches_structural_oracle():

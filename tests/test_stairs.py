@@ -1,5 +1,6 @@
 """Stair synthesis and the PBS lower bound."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from cpbs.terms import (
     Colour,
     Empty,
     Trace,
+    configurations,
     count_neg,
     count_pbs,
     gate_t,
@@ -43,6 +45,8 @@ from cpbs.terms import (
     swap,
 )
 from cpbs.textform import parse, print_term
+
+from union_find import UnionFind
 
 T, V, H = Colour.T, Colour.V, Colour.H
 
@@ -323,6 +327,107 @@ class TestSynthesis:
             assert total == sum(sf.pre_negs) + sum(sf.post_negs)
 
 
+# tables that no diagram has: a configuration short, two onto one, and one
+# input configuration missing
+NOT_BIJECTIVE = {
+    "short": SemanticsTable((V,), (T,), {(V, 0): ((V, 0), ())}),
+    "squashed": SemanticsTable((T,), (T,), {(V, 0): ((V, 0), ()), (H, 0): ((V, 0), ())}),
+    "missing": SemanticsTable((T,), (V,), {(V, 0): ((V, 0), ())}),
+}
+STAIR_ANALYSES = [partition_analysis, pbs_lower_bound, synthesize_stair_form]
+
+
+@pytest.mark.parametrize("table", NOT_BIJECTIVE)
+@pytest.mark.parametrize("analysis", STAIR_ANALYSES, ids=lambda f: f.__name__)
+def test_tables_that_are_no_bijection_raise_not_bijective(analysis, table):
+    with pytest.raises(NotBijective):
+        analysis(NOT_BIJECTIVE[table])
+
+
+@pytest.mark.parametrize("analysis", STAIR_ANALYSES, ids=lambda f: f.__name__)
+def test_gates_are_reported_before_a_missing_configuration(analysis):
+    with pytest.raises(HasGates):
+        analysis(SemanticsTable((T,), (T,), {(V, 0): ((V, 0), ("U",))}))
+
+
+# ---------------------------------------------------------------------------
+# the census: every gate-free bijective table up to a number of configurations
+# ---------------------------------------------------------------------------
+
+def _reference_partition(t) -> PartitionAnalysis:
+    """Blocks joined in a union-find and classified by their coloured positions."""
+    uf = UnionFind()
+    for p in range(len(t.in_type)):
+        uf.add(("in", p))
+    for q in range(len(t.out_type)):
+        uf.add(("out", q))
+    for _, p, _, q in stairs._edges_of(t):
+        uf.union(("in", p), ("out", q))
+
+    blocks = []
+    for members in uf.classes().values():
+        ins = tuple(sorted(p for side, p in members if side == "in"))
+        outs = tuple(sorted(q for side, q in members if side == "out"))
+        blocks.append((ins, outs))
+    blocks.sort(key=lambda b: (b[0] + b[1])[0:1])
+
+    cases = []
+    for ins, outs in blocks:
+        ci = [p for p in ins if t.in_type[p] != T]
+        co = [q for q in outs if t.out_type[q] != T]
+        if len(ins) == len(outs) and not ci and not co:
+            cases.append(1)
+        elif len(ins) == len(outs) and len(ci) == 1 and len(co) == 1:
+            cases.append(2)
+        elif len(ins) == len(outs) + 1 and len(ci) == 2 and not co:
+            cases.append(3)
+        elif len(outs) == len(ins) + 1 and not ci and len(co) == 2:
+            cases.append(4)
+        else:
+            raise AssertionError(f"block {ins}/{outs} fits no staircase shape")
+    return PartitionAnalysis(
+        tuple(blocks),
+        tuple(cases),
+        len(blocks),
+        cases.count(3),
+        cases.count(4),
+    )
+
+
+def _wire_types(configs: int):
+    """Every wire type admitting that many configurations, sorted by colour:
+    the order of a table's wires is free, as a permutation costs no PBS."""
+    for blacks in range(configs // 2 + 1):
+        for reds in range(configs - 2 * blacks + 1):
+            yield (T,) * blacks + (V,) * reds + (H,) * (configs - 2 * blacks - reds)
+
+
+def _census(most: int):
+    for configs in range(1, most + 1):
+        for a, b in itertools.product(_wire_types(configs), repeat=2):
+            for image in itertools.permutations(configurations(b)):
+                yield SemanticsTable(a, b, {c: (o, ()) for c, o in zip(configurations(a), image)})
+
+
+def _check_census(most: int) -> int:
+    tables = 0
+    for t in _census(most):
+        sf = synthesize_stair_form(t)  # certifies its drawing against t
+        assert sf.count_pbs() == pbs_lower_bound(t), t
+        assert partition_analysis(t) == _reference_partition(t), t
+        tables += 1
+    return tables
+
+
+def test_stair_census_up_to_four_configurations():
+    assert _check_census(4) == 2_196
+
+
+@pytest.mark.slow
+def test_stair_census_up_to_five_configurations():
+    assert _check_census(5) == 19_476
+
+
 # ---------------------------------------------------------------------------
 # the alignment against every walk, kept as the reference
 # ---------------------------------------------------------------------------
@@ -335,18 +440,28 @@ def _every_walk(sc: Staircase):
     if sc.kind != "black_ladder":
         return _one_walk_per_colour(sc)
     edges = stairs._edges_of(semantics_table(to_netlist(sc.as_term())))
-    return tuple(stairs._walk(edges, e, True) for e in edges)
+    return tuple(stairs._walk(stairs._index(edges), e, True) for e in edges)
 
 
 def _block_walks_from_the_whole_table(t, ins, outs, case):
     edges = [e for e in stairs._edges_of(t) if e[1] in ins]
+    index = stairs._index(edges)
     if case == 1:
-        return [stairs._walk(edges, next(e for e in edges if e[:2] == (V, min(ins))), True)]
+        return [stairs._walk(index, next(e for e in edges if e[:2] == (V, min(ins))), True)]
     if case in (2, 3):
         coloured = sorted(p for p in ins if t.in_type[p] != T)
-        return [stairs._walk(edges, next(e for e in edges if e[1] == p), True) for p in coloured]
+        return [stairs._walk(index, next(e for e in edges if e[1] == p), True) for p in coloured]
     coloured = sorted(q for q in outs if t.out_type[q] != T)
-    return [stairs._walk(edges, next(e for e in edges if e[3] == q), False) for q in coloured]
+    return [stairs._walk(index, next(e for e in edges if e[3] == q), False) for q in coloured]
+
+
+_trail_blocks = stairs._blocks
+
+
+def _blocks_walked_from_the_whole_table(t):
+    """The library's blocks, each with the reference's candidate walks."""
+    return [(ins, outs, case, _block_walks_from_the_whole_table(t, ins, outs, case))
+            for ins, outs, case, _ in _trail_blocks(t)]
 
 
 def _scrambled_staircases():
@@ -386,7 +501,7 @@ def test_two_walks_per_black_ladder_give_every_walks_stair_form(monkeypatch):
         sf = synthesize_stair_form(t)
         with monkeypatch.context() as m:
             m.setattr(stairs, "_stair_walks", _every_walk)
-            m.setattr(stairs, "_block_walks", _block_walks_from_the_whole_table)
+            m.setattr(stairs, "_blocks", _blocks_walked_from_the_whole_table)
             assert synthesize_stair_form(t) == sf
         pa = partition_analysis(t)
         fewest = 0  # the least negation count over every pair of walks, block by block
