@@ -62,7 +62,9 @@ __version__ = "0.1.0"
 # The term language above is what every subcommand needs.  Every other
 # name loads with its home module on first use (PEP 562), so a shell call
 # pays only for the modules it runs, and numpy loads only for the quantum
-# semantics.  Each of these modules also resolves under its own name.
+# semantics.  Each of these modules also resolves under its own name.  A
+# name is read off its home module on every access, never cached here, so
+# it cannot outlive a patch of that module.
 _HOME = {
     name: module
     for module, names in {
@@ -89,9 +91,7 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     home = importlib.import_module(f"{__name__}.{module}")
-    value = home if name == module else getattr(home, name)
-    globals()[name] = value
-    return value
+    return home if name == module else getattr(home, name)
 
 
 def __dir__() -> list[str]:

@@ -19,12 +19,11 @@ from .errors import (
     LengthMismatch,
     NotEulerian,
 )
-from .netlist import to_netlist
-from .semantics import _certify, semantics_table
+from .semantics import SemanticsTable, _certify
 from .stairs import Staircase
 from .terms import Colour, Empty, Term, Word, count_pbs, gate_t, ident, neg_t, par, permute, seq
 
-T = Colour.T
+T, V, H = Colour.T, Colour.V, Colour.H
 
 Arc = tuple[int, str, str]  # (edge index, tail, head)
 
@@ -308,8 +307,8 @@ def diagram_from_decomposition(g: EulerianGraph, dec: CycleDecomposition) -> Ter
 
     Edges directed against the seed-0 reference orientation carry a
     negation at both boundaries, swapping which polarisation reads the
-    tail.  The result has 2(|edges| - r) PBS; its table equals the
-    reference construction's.
+    tail.  The result has 2(|edges| - r) PBS; its table is certified to be
+    the one build_C_w_sigma states for the reference orientation.
     """
     _check_decomposition(g, dec)
     ref = orient_eulerian(g, seed=0)
@@ -320,6 +319,10 @@ def diagram_from_decomposition(g: EulerianGraph, dec: CycleDecomposition) -> Ter
     out = seq(negs, build_C_w_sigma(o.w, o.sigma), negs)
     if count_pbs(out) != 2 * (g.n - dec.r):
         raise AssertionError("reduction diagram misses 2(|edges| - r) PBS")
-    ref_table = semantics_table(to_netlist(build_C_w_sigma(ref.w, ref.sigma)))
+    # the table build_C_w_sigma states for the reference orientation, not a
+    # second drawing by the same router: (V,p) reads w_p, (H,p) w_sigma(p)
+    rows = {(V, p): ((V, p), (u,)) for p, u in enumerate(ref.w)}
+    rows.update(((H, p), ((H, p), (ref.w[q],))) for p, q in enumerate(ref.sigma))
+    ref_table = SemanticsTable((T,) * g.n, (T,) * g.n, rows)
     _certify(out, ref_table, "reduction diagram changes the reference table")
     return out

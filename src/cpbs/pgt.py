@@ -170,58 +170,27 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
 
     Wires are laid down lazily, driven by chasing one input photon at a
     time over the partial wiring: the unwired source it reaches is the
-    branch point, and a photon exiting on the wrong row kills the
-    branch at once.  Untouched copies of identical nodes are
-    interchangeable, so only the least-numbered one may be wired first.
+    branch point, and a photon exiting on the wrong row kills the branch
+    at once.  ``wiring`` maps each wired source to its sink; ``wired``
+    holds both ends of every wire.  Untouched copies of equal boxes, with
+    no port in ``wired``, are interchangeable, so only the first free
+    port of the colour on the least untouched copy is offered.  Within a
+    box that loses nothing: only pbs4 has two input ports of one colour,
+    and swapping both of its port pairs maps it onto itself.
     """
-    src_colour: dict[tuple, Colour] = {}
-    snk_colour: dict[tuple, Colour] = {}
-    for p, c in enumerate(t.in_type):
-        src_colour[("bin", p)] = c
-    for q, c in enumerate(t.out_type):
-        snk_colour[("bout", q)] = c
+    colour: dict[tuple, Colour] = {("bin", p): c for p, c in enumerate(t.in_type)}
+    sinks = [("bout", q) for q in range(len(t.out_type))]  # in the order they are offered
+    colour.update(zip(sinks, t.out_type))
+    ports: list[list[tuple]] = []  # each node's input ports, then its output ports
     for i, node in enumerate(nodes):
         ins, outs = node.signature()
-        for k, c in enumerate(ins):
-            snk_colour[("nin", i, k)] = c
-        for k, c in enumerate(outs):
-            src_colour[("nout", i, k)] = c
-
+        sinks += (own := [("nin", i, k) for k in range(len(ins))])
+        ports.append(own + [("nout", i, k) for k in range(len(outs))])
+        colour.update(zip(ports[i], ins + outs))
     wiring: dict[tuple, tuple] = {}
-    used_sinks: set[tuple] = set()
-    touched = [0] * len(nodes)
+    wired: set[tuple] = set()
     first = [nodes.index(node) for node in nodes]  # the least index of an equal box
     starts = [(cfg, t.entries[cfg]) for cfg in configurations(t.in_type)]
-    all_sinks = sorted(snk_colour)
-
-    def candidates(colour: Colour) -> list[tuple]:
-        out, seen_fresh = [], set()
-        for snk in all_sinks:
-            if snk in used_sinks or snk_colour[snk] != colour:
-                continue
-            if snk[0] == "nin" and not touched[snk[1]]:
-                key = first[snk[1]]
-                if key in seen_fresh:
-                    continue
-                seen_fresh.add(key)
-            out.append(snk)
-        return out
-
-    def place(src: tuple, snk: tuple) -> None:
-        wiring[src] = snk
-        used_sinks.add(snk)
-        if src[0] == "nout":
-            touched[src[1]] += 1
-        if snk[0] == "nin":
-            touched[snk[1]] += 1
-
-    def unplace(src: tuple, snk: tuple) -> None:
-        del wiring[src]
-        used_sinks.discard(snk)
-        if src[0] == "nout":
-            touched[src[1]] -= 1
-        if snk[0] == "nin":
-            touched[snk[1]] -= 1
 
     def advance(i: int) -> bool:
         if i == len(starts):
@@ -230,11 +199,22 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
         end, pol, word = chase(wiring, nodes, ("bin", pos), pol)
         if end[0] == "bout":
             return (pol, end[1]) == target and word == target_word and advance(i + 1)
-        for cand in candidates(src_colour[end]):
-            place(end, cand)
+        want, offered = colour[end], set()
+        for snk in sinks:
+            if snk in wired or colour[snk] != want:
+                continue
+            if snk[0] == "nin" and wired.isdisjoint(ports[snk[1]]):
+                if first[snk[1]] in offered:
+                    continue
+                offered.add(first[snk[1]])
+            wiring[end] = snk
+            wired.add(end)
+            wired.add(snk)
             if advance(i):
                 return True
-            unplace(end, cand)
+            del wiring[end]
+            wired.remove(end)
+            wired.remove(snk)
         return False
 
     return advance(0)

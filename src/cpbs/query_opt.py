@@ -143,8 +143,8 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstan
         return n, t, []
     # each letter of a gate is read on at most two rows, so with S the input's
     # letters (a box without one counting 1) the run makes at most 2S splits
-    # and S fusions: 1 + 3S steps, within this budget
-    budget = 10 * max(1, sum(max(1, len(g.word)) for g in n.nodes.values())) ** 2
+    # and S fusions: 1 + 3S steps, the budget
+    budget = 1 + 3 * sum(max(1, len(g.word)) for g in n.nodes.values())
     # every site below is named before its step, so nothing searches the
     # whole netlist: the normal form's netlist is rewritten in place, and
     # each step matches its rule on the one or two gates it rewrites

@@ -378,3 +378,17 @@ def test_package_namespace():
     assert set(dir(cpbs)) >= set(PUBLIC_NAMES) | set(cpbs._HOME)
     with pytest.raises(AttributeError, match="^module 'cpbs' has no attribute 'nope'$"):
         cpbs.nope
+
+
+def test_a_package_name_does_not_outlive_a_patch(monkeypatch):
+    # a name read while its home module's function is patched gives the
+    # patch, and the home module's own function once the patch is undone
+    original = cpbs.pgt.brute_force_min_pbs
+
+    def stand_in(t, max_pbs, neg_budget=2):
+        return 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cpbs.pgt, "brute_force_min_pbs", stand_in)
+        assert cpbs.brute_force_min_pbs is stand_in
+    assert cpbs.brute_force_min_pbs is original

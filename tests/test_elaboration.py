@@ -301,7 +301,7 @@ def test_the_library_tables_only_netlists(monkeypatch, tmp_path, capsys):
         replay_derivation(target)
     for g in corpus().values():
         diagram_from_decomposition(g, max_ecd_bruteforce(g))
-    assert len(args) > 100  # 134 in suite order, 135 alone: check_soundness tables 82 rule sides
+    assert len(args) > 100  # 119 in suite order, 120 alone: check_soundness tables 82 rule sides
     assert all(type(n) is Netlist for n in args), {type(n).__name__ for n in args}
 
 

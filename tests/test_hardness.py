@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import cpbs.hardness as hardness
 from cpbs.cli import main
 from cpbs.errors import (
     BudgetExceeded,
@@ -228,6 +229,28 @@ class TestDiagramFromDecomposition:
             want = semantics_table(build_C_w_sigma(ref.w, ref.sigma))
             assert tables_equal(semantics_table(d), want)
             assert count_pbs(d) == 2 * (g.n - dec.r)
+
+    def test_a_router_turning_the_wrong_way_is_caught(self, monkeypatch):
+        # a router sending p to sigma^-1(p), as a ladder laid in ascending
+        # cycle order does, keeps the PBS count; checked against the table
+        # build_C_w_sigma states, not a second drawing by that same router,
+        # the reference circuit itself fails wherever sigma^-1 != sigma
+        real = hardness._router
+        monkeypatch.setattr(hardness, "_router", lambda sigma: real(hardness._inverse(sigma)))
+        caught = []
+        for name, g in corpus().items():
+            ref = orient_eulerian(g, seed=0)
+            circuit = [0]
+            while ref.sigma[circuit[-1]]:
+                circuit.append(ref.sigma[circuit[-1]])
+            try:
+                diagram_from_decomposition(
+                    g, CycleDecomposition((tuple((p, *ref.arcs[p]) for p in circuit),)))
+            except AssertionError as e:
+                assert str(e) == "reduction diagram changes the reference table"
+                caught.append(name)
+        assert caught == [name for name, g in corpus().items() if g.n > 2]
+        assert len(caught) == 9
 
     def test_reversed_cycle_still_matches(self):
         g = corpus()["triangle"]

@@ -48,6 +48,7 @@ from cpbs.terms import (
     seq,
     split_vh,
 )
+from cpbs.textform import parse
 
 from union_find import UnionFind
 
@@ -540,6 +541,68 @@ def test_a_stale_splice_leaves_the_netlist_alone():
     with pytest.raises(ValueError, match="taken"):
         splice(n, second, 3)
     assert (n.nodes, n.wires, n.loops) == before
+
+
+@pytest.mark.parametrize("host, rule_id, direction, pick, changed, why", [
+    # AX2's internal wire from gate 0 to gate 1 is cut
+    ("gate[U,V] ; gate[W,V]", "AX2", "L2R", 0, "gate[U,V] | gate[W,V]", "wire .* changed"),
+    # AX2's input leg now comes round from gate 1
+    ("gate[U,V] ; gate[W,V]", "AX2", "L2R", 0, "tr[V](gate[U,V] ; gate[W,V])", "input leg changed"),
+    # AX2's output leg now ends at the other output
+    ("gate[U,V] ; gate[W,V]", "AX2", "L2R", 0,
+     "gate[U,V] | id[V] ; gate[W,V] | id[V] ; swap[V,V]", "output leg changed"),
+    # AX1's matched wire into the output now leaves another gate
+    ("gate[U,V]", "AX1", "R2L", 1, "gate[W,V] ; gate[U,V]", "matched wire is gone"),
+    # AX1's pass-through took the loop, which has gone
+    ("tr[V](id[V])", "AX1", "R2L", 0, "tr[H](id[H])", "matched loop is gone"),
+    # APPE26's own loop has gone
+    ("tr[V](id[V])", "APPE26", "L2R", 0, "tr[H](id[H])", "matched loop is gone"),
+])
+def test_a_splice_on_a_changed_site_is_stale(host, rule_id, direction, pick, changed, why):
+    inst = find_matches(to_netlist(parse(host)), rule_id, direction)[pick]
+    n = to_netlist(parse(changed))
+    before = (dict(n.nodes), dict(n.wires), n.loops)
+    with pytest.raises(StaleInstance, match=why):
+        splice(n, inst, 2)
+    assert (n.nodes, n.wires, n.loops) == before
+
+
+@pytest.fixture
+def register(monkeypatch):
+    """Adds a rule to RULES for one test; _compile forgets it afterwards."""
+    def add(rule_id, lhs, rhs):
+        monkeypatch.setitem(RULES, rule_id, Rule(rule_id, lhs, rhs))
+        _compile.cache_clear()
+
+    yield add
+    _compile.cache_clear()
+
+
+def test_two_fed_back_slots_in_one_chain_close_one_loop(register):
+    register("XX_GATES", Par(gate_v(()), gate_v(())), Par(ident(Colour.V), ident(Colour.V)))
+    # each gate's output is traced back into the other gate
+    n = to_netlist(parse("tr[V](tr[V](gate[,V] | gate[,V] ; swap[V,V]))"))
+    matches = find_matches(n, "XX_GATES", "L2R")
+    assert len(matches) == 2  # either gate for either pattern box
+    for inst in matches:
+        out = apply(n, inst)
+        assert (out.nodes, out.wires, out.loops) == ({}, {}, (Colour.V,))
+        want, closed = _reference_apply(n, inst)
+        assert closed == 1 and (out.wires, out.loops) == (want.wires, want.loops)
+
+
+def test_bare_wire_patterns_take_distinct_wires_and_loops(register):
+    v = Colour.V
+    register("XX_TWO_WIRES", Par(ident(v), ident(v)), Par(ident(v), ident(v)))
+    n = to_netlist(parse("gate[U,V]"))  # two V wires, one each side of the gate
+    matches = find_matches(n, "XX_TWO_WIRES", "L2R")
+    assert sorted([c[1] for c in m.wire_choices] for m in matches) == [
+        [("bout", 0), ("nin", 0, 0)], [("nin", 0, 0), ("bout", 0)]]
+    register("XX_WIRE_AND_LOOP", Par(ident(v), Trace(v, ident(v))), Par(ident(v), Trace(v, ident(v))))
+    # the one V loop cannot be both the pass-through and the pattern's loop
+    n = to_netlist(parse("id[V] | tr[V](id[V])"))
+    (m,) = find_matches(n, "XX_WIRE_AND_LOOP", "L2R")
+    assert (m.wire_choices, m.loop_choices) == ([("wire", ("bout", 0), ("bin", 0))], [0])
 
 
 def test_a_rule_side_mixing_nodes_and_bare_wires_is_rejected():

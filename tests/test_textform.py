@@ -182,11 +182,12 @@ class TestErrors:
              "line 4 col 8: cannot compose (V,H) into (T)"),
             ("pbs ;\n  # tr[T](\n\ttr[V](pbs)", TypeError,
              "line 3 col 2: tr[V] needs V last on both sides, got (T,T) -> (T,T)"),
+            ("@", SyntaxError, "line 1 col 1: unexpected '@'"),
         ],
         ids=[
             "unknown-generator", "bad-trace-colour", "trace-without-bracket", "missing-close",
             "missing-close-at-end", "trailing-input", "crlf", "first-of-repeated-spelling",
-            "after-repeated-spelling", "seq-type-error", "trace-type-error",
+            "after-repeated-spelling", "seq-type-error", "trace-type-error", "stray-character",
         ],
     )
     def test_exact_location_after_the_first_line(self, src, error, message):
