@@ -239,11 +239,12 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     impossible, more never helps the PBS count), negations default to
     at most two per candidate.  A wiring exists only if, per colour,
     the nodes' output ports and the table's inputs match the nodes'
-    input ports and the table's outputs; so candidates are paired by
-    port-colour balance: the gate multisets are bucketed by theirs, and
-    each PBS and negation multiset meets only the gate bucket that makes
-    up the table's ``out_type`` minus ``in_type``.  The balanced
-    candidates reach ``_realises`` in the order of the full enumeration.
+    input ports and the table's outputs.  A gate maps its one wire's
+    colour to itself, so only the PBS and negations move that balance:
+    a PBS and negation multiset meets the gate multisets only when its
+    balance makes up the table's ``out_type`` minus ``in_type``.  The
+    balanced candidates reach ``_realises`` in the order of the full
+    enumeration.
 
     The caps bound the exhaustive search that a ``NotFound`` costs.  On a
     2-vCPU machine, at 6 configurations, 2 queries and 2 negations, one
@@ -260,9 +261,7 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     if sum(bounds.values()) > 2:
         raise PreconditionViolated("more than 2 oracle letters in the table")
 
-    gates_by_balance: dict[tuple[int, int, int], list[tuple[Gen, ...]]] = {}
-    for gates in _gate_options(bounds):
-        gates_by_balance.setdefault(_balance(gates), []).append(gates)
+    gate_sets = _gate_options(bounds)
     neg_sets = [
         (_balance(negs), negs)
         for nn in range(neg_budget + 1)
@@ -273,8 +272,9 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
         for pbs in itertools.combinations_with_replacement(map(Gen, sorted(PBS_KINDS)), n_pbs):
             pbs_bal = _balance(pbs)
             for neg_bal, negs in neg_sets:
-                key = tuple(n - p - g for n, p, g in zip(need, pbs_bal, neg_bal))
-                for gates in gates_by_balance.get(key, ()):
+                if tuple(p + g for p, g in zip(pbs_bal, neg_bal)) != need:
+                    continue
+                for gates in gate_sets:
                     if _realises(t, [*pbs, *negs, *gates]):
                         return n_pbs
     raise NotFound(f"no realisation within {max_pbs} PBS")

@@ -85,10 +85,7 @@ def random_diagram(
             layers.append(layer(cur, pos, swap(cur[pos], cur[pos + 1])))
             cur = cur[:pos] + (cur[pos + 1], cur[pos]) + cur[pos + 2 :]
             continue
-        moves = _moves(cur, gate_free or (single_query and not pool))
-        if not moves:
-            break
-        kind, pos = rng.choice(moves)
+        kind, pos = rng.choice(_moves(cur, gate_free or (single_query and not pool)))
         if kind in GATE_KINDS:
             if single_query:
                 word: tuple[str, ...] = (pool.pop(rng.randrange(len(pool))),)

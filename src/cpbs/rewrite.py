@@ -40,10 +40,8 @@ Source = tuple
 class _Pattern:
     in_type: tuple[Colour, ...]
     out_type: tuple[Colour, ...]
-    nodes: dict[int, Gen]
-    node_order: tuple[int, ...]
-    internal: tuple[tuple[Sink, Source], ...]
-    internal_at: tuple[tuple[tuple[Sink, Source], ...], ...]  # closed by placing node_order[i]
+    nodes: dict[int, Gen]  # numbered 0, 1, ... as the side's netlist numbers them
+    internal_at: tuple[tuple[tuple[Sink, Source], ...], ...]  # wires closed by placing node i
     bound_in: tuple[tuple[int, Sink], ...]      # (bin index, pattern node sink)
     bound_out: tuple[tuple[int, Source], ...]   # (bout index, pattern node source)
     passthrough: tuple[tuple[int, int, Colour], ...]  # (bin, bout, colour)
@@ -62,13 +60,13 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
     """
     pat_term, rep_term = _sides(RULES[rule_id], direction)
     n = to_netlist(pat_term)
-    internal: list[tuple[Sink, Source]] = []
+    internal_at: list[list[tuple[Sink, Source]]] = [[] for _ in n.nodes]
     bound_in: list[tuple[int, Sink]] = []
     bound_out: list[tuple[int, Source]] = []
     passthrough: list[tuple[int, int, Colour]] = []
     for snk, src in sorted(n.wires.items()):
         if snk[0] == "nin" and src[0] == "nout":
-            internal.append((snk, src))
+            internal_at[max(snk[1], src[1])].append((snk, src))
         elif snk[0] == "nin":
             bound_in.append((src[1], snk))
         elif src[0] == "nout":
@@ -77,17 +75,11 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
             passthrough.append((src[1], snk[1], n.in_type[src[1]]))
     if n.nodes and (passthrough or n.loops):
         raise ValueError(f"{rule_id} {direction}: a rule side mixes nodes with bare wires or loops")
-    order = tuple(sorted(n.nodes))
     return _Pattern(
         n.in_type,
         n.out_type,
         n.nodes,
-        order,
-        tuple(internal),
-        tuple(
-            tuple(w for w in internal if max(order.index(w[0][1]), order.index(w[1][1])) == i)
-            for i in range(len(order))
-        ),
+        tuple(map(tuple, internal_at)),
         tuple(sorted(bound_in)),
         tuple(sorted(bound_out)),
         tuple(sorted(passthrough)),
@@ -137,7 +129,7 @@ class RuleInstance:
     rule: str
     direction: str
     node_map: dict[int, int] = field(default_factory=dict)
-    node_words: dict[int, Word] = field(default_factory=dict)  # host words seen at match time
+    boxes: dict[int, Gen] = field(default_factory=dict)  # host boxes seen at match time
     bindings: dict[str, Word] = field(default_factory=dict)
     in_legs: list = field(default_factory=list)
     out_legs: list = field(default_factory=list)
@@ -229,27 +221,26 @@ def _node_matches(
     out: list[RuleInstance] = []
 
     def extend(i: int, node_map: dict[int, int], binding: dict[str, Word]) -> None:
-        if i == len(pat.node_order):
+        if i == len(pat.nodes):
             out.append(RuleInstance(
                 rule_id,
                 direction,
                 node_map,
-                {hn: n.nodes[hn].word for hn in node_map.values()},
+                {hn: n.nodes[hn] for hn in node_map.values()},
                 binding,
                 [n.wires[("nin", node_map[snk[1]], snk[2])] for _, snk in pat.bound_in],
                 [rev[("nout", node_map[src[1]], src[2])] for _, src in pat.bound_out],
             ))
             return
-        pn = pat.node_order[i]
-        for hn in by_kind.get(pat.nodes[pn].kind, ()):
+        for hn in by_kind.get(pat.nodes[i].kind, ()):
             if hn in node_map.values():
                 continue
-            placed = {**node_map, pn: hn}
+            placed = {**node_map, i: hn}
             if all(
                 n.wires.get(("nin", placed[snk[1]], snk[2])) == ("nout", placed[src[1]], src[2])
                 for snk, src in pat.internal_at[i]
             ):
-                for b2 in _match_word(pat.nodes[pn].word, n.nodes[hn].word, binding):
+                for b2 in _match_word(pat.nodes[i].word, n.nodes[hn].word, binding):
                     extend(i + 1, placed, b2)
 
     extend(0, {}, {})
@@ -317,12 +308,10 @@ def splice(n: Netlist, inst: RuleInstance, base: int) -> range:
     pat = _compile(inst.rule, inst.direction)
 
     # --- revalidate the site
-    for pn, hn in inst.node_map.items():
-        if hn not in n.nodes or n.nodes[hn].kind != pat.nodes[pn].kind:
+    for hn, box in inst.boxes.items():
+        if n.nodes.get(hn) != box:
             raise StaleInstance(f"node {hn} changed under {inst.rule}")
-        if n.nodes[hn].word != inst.node_words[hn]:
-            raise StaleInstance(f"gate {hn} word changed under {inst.rule}")
-    for snk, src in pat.internal:
+    for snk, src in itertools.chain.from_iterable(pat.internal_at):
         host_snk = ("nin", inst.node_map[snk[1]], snk[2])
         host_src = ("nout", inst.node_map[src[1]], src[2])
         if n.wires.get(host_snk) != host_src:

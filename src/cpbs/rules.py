@@ -33,12 +33,12 @@ from .terms import (
     neg_hv,
     neg_t,
     neg_vh,
-    par,
     pbs4,
     pbs_ht_ht,
     pbs_th_th,
     pbs_tv_vt,
     pbs_vt_tv,
+    perm,
     seq,
     split_hv,
     split_vh,
@@ -83,29 +83,6 @@ _A, _B, _W = WVar("A"), WVar("B"), WVar("W")
 _u, _w = WVar("u", exact=1), WVar("w", min_len=1)
 
 
-def _pbs4_unfolding() -> Term:
-    # two splits, a crossing of the middle pair done with adjacent swaps,
-    # then two merges
-    return seq(
-        Par(split_vh(), split_vh()),
-        par(ident(V), swap(H, V), ident(H)),
-        par(ident(V), ident(V), swap(H, H)),
-        par(ident(V), swap(V, H), ident(H)),
-        Par(merge_vh(), merge_vh()),
-    )
-
-
-def _pbs_ht_ht_unfolding() -> Term:
-    # split the black wire, exchange the two outer H wires, merge back
-    return seq(
-        Par(ident(H), split_vh()),
-        par(swap(H, V), ident(H)),
-        par(ident(V), swap(H, H)),
-        par(swap(V, H), ident(H)),
-        Par(ident(H), merge_vh()),
-    )
-
-
 _RULE_LIST: list[Rule] = [
     Rule("AX1", _gv(), ident(V)),
     Rule("AX2", Seq(_gv(_A), _gv(_B)), _gv(_A, _B)),
@@ -119,7 +96,12 @@ _RULE_LIST: list[Rule] = [
     Rule("AX10", Seq(merge_vh(), split_vh()), Par(ident(V), ident(H))),
     Rule("AX11", split_hv(), Seq(split_vh(), swap(V, H))),
     Rule("AX12", merge_hv(), Seq(swap(H, V), merge_vh())),
-    Rule("AX13", pbs4(), _pbs4_unfolding()),
+    # AX13 and AX17 unfold a PBS: split, cross the H wires, merge
+    Rule(
+        "AX13",
+        pbs4(),
+        seq(Par(split_vh(), split_vh()), perm((V, H, V, H), (0, 3, 2, 1)), Par(merge_vh(), merge_vh())),
+    ),
     Rule(
         "AX14",
         pbs_tv_vt(),
@@ -135,7 +117,11 @@ _RULE_LIST: list[Rule] = [
         pbs_th_th(),
         seq(Par(split_vh(), ident(H)), Par(ident(V), swap(H, H)), Par(merge_vh(), ident(H))),
     ),
-    Rule("AX17", pbs_ht_ht(), _pbs_ht_ht_unfolding()),
+    Rule(
+        "AX17",
+        pbs_ht_ht(),
+        seq(Par(ident(H), split_vh()), perm((H, V, H), (2, 1, 0)), Par(ident(H), merge_vh())),
+    ),
     # splitting a word into its first letter and the rest, per colour
     Rule("DER18", _gv(_u, _w), Seq(_gv(_u), _gv(_w))),
     Rule("DER19", _gh(_u, _w), Seq(_gh(_u), _gh(_w))),

@@ -283,24 +283,22 @@ def pbs_lower_bound(t: SemanticsTable) -> int:
 
 @functools.cache
 def _stair_walks(sc: Staircase) -> tuple[Walk, ...]:
-    """Candidate walks through the staircase's own table.
+    """Candidate walks through the staircase's own table, a single block.
 
-    Paths have a single admissible start; the all-black cycle may begin
-    at any edge, which lets the slot assignment soak up wire rotations
-    without extra negations.  Its walks alternate colours, so all from
-    edges of one colour align with one negation count: the first from an
-    H and from a V edge stand for them.  A staircase is a constant, so its
-    walks are worked out once per process and shared read-only.
+    Paths have a single admissible start, the first candidate ``_blocks``
+    gives.  The all-black cycle may begin at any edge, which lets the
+    slot assignment soak up wire rotations without extra negations.  Its
+    walks alternate colours, so all from edges of one colour align with
+    one negation count: the first from an H edge and the V walk of
+    ``_blocks`` stand for them.  A staircase is a constant, so its walks
+    are worked out once per process and shared read-only.
     """
-    edges = _edges_of(semantics_table(to_netlist(sc.as_term())))
-    index = _index(edges)
-    s = sc.size
-    if sc.kind == "black_ladder":
-        return tuple(_walk(index, next(e for e in edges if e[0] == c), True) for c in (H, V))
-    if sc.kind == "red_merge_inverse":  # walked back from its blue output
-        return (_walk(index, next(e for e in edges if e[2:] == (H, 0)), False),)
-    start = {"red_ladder": (V, s), "blue_ladder": (H, s), "red_merge": (H, 0)}[sc.kind]
-    return (_walk(index, next(e for e in edges if e[:2] == start), True),)
+    t = semantics_table(to_netlist(sc.as_term()))
+    ((_, _, _, (walk, *_)),) = _blocks(t)
+    if sc.kind != "black_ladder":
+        return (walk,)
+    edges = _edges_of(t)
+    return (_walk(_index(edges), next(e for e in edges if e[0] == H), True), walk)
 
 
 def _align(bw, sw):

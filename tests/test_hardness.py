@@ -25,7 +25,7 @@ from cpbs.hardness import (
 )
 from cpbs.normal_form import normalize
 from cpbs.semantics import semantics_table, tables_equal
-from cpbs.terms import Colour, count_neg, count_pbs, gate_t
+from cpbs.terms import Colour, Empty, count_neg, count_pbs, gate_t
 from cpbs.textform import parse, print_term
 
 V, H = Colour.V, Colour.H
@@ -220,6 +220,17 @@ class TestDiagramFromDecomposition:
         d = diagram_from_decomposition(g, max_ecd_bruteforce(g))
         assert count_pbs(d) == 0
         assert tables_equal(semantics_table(d), semantics_table(gate_t(("A",))))
+
+    def test_an_edgeless_graph_reduces_to_the_empty_diagram(self, tmp_path, capsys):
+        assert build_C_w_sigma((), ()) == Empty()
+        g = EulerianGraph(frozenset(), ())
+        assert diagram_from_decomposition(g, CycleDecomposition(())) == Empty()
+        graph = tmp_path / "edgeless.graph"
+        graph.write_text("# no edges\n")
+        assert main(["reduce-ecd", str(graph)]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (print_term(Empty()) + "\n", "")
+        assert parse(out) == Empty()
 
     def test_matches_reference_table_on_the_corpus(self):
         for g in corpus().values():

@@ -376,6 +376,26 @@ def test_replayed_traces_render_as_pinned():
     assert digest.hexdigest() == REPLAY_DIGEST
 
 
+CATALOGUE_DIGEST = "c61ee62be00d9c976daba51963517059f11f7a58"
+
+
+def test_the_compiled_catalogue_is_pinned():
+    # every field _compile keeps, for every rule in both directions: a
+    # rule side redrawn so that matching or the splice reads it
+    # differently changes this digest
+    digest = hashlib.sha1()
+    for rule_id in ALL_RULE_IDS:
+        for direction in ("L2R", "R2L"):
+            pat = _compile(rule_id, direction)
+            kept = (
+                pat.in_type, pat.out_type, list(pat.nodes.items()), pat.internal_at,
+                pat.bound_in, pat.bound_out, pat.passthrough, pat.loops, pat.invents_words,
+                list(pat.rep.nodes.items()), list(pat.rep.wires.items()), pat.rep.loops,
+            )
+            digest.update(f"{rule_id} {direction} {kept!r}\n".encode())
+    assert digest.hexdigest() == CATALOGUE_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # the matcher against a reference
 # ---------------------------------------------------------------------------
@@ -392,10 +412,10 @@ def _reference_matches(n, rule_id, direction):
     complete = []
 
     def backtrack(i, node_map, binding):
-        if i == len(pat.node_order):
+        if i == len(pat.nodes):
             complete.append((node_map, binding))
             return
-        pn = pat.node_order[i]
+        pn = i  # a side's boxes are numbered 0, 1, ... in matching order
         pnode = pat.nodes[pn]
         for hn in sorted(n.nodes):
             if hn in node_map.values() or n.nodes[hn].kind != pnode.kind:
@@ -404,7 +424,8 @@ def _reference_matches(n, rule_id, direction):
                 m2 = {**node_map, pn: hn}
                 if all(
                     n.wires.get(("nin", m2[snk[1]], snk[2])) == ("nout", m2[src[1]], src[2])
-                    for snk, src in pat.internal
+                    for wires in pat.internal_at
+                    for snk, src in wires
                     if snk[1] in m2 and src[1] in m2
                 ):
                     backtrack(i + 1, m2, b2)
@@ -447,7 +468,7 @@ def _reference_matches(n, rule_id, direction):
                     rule_id,
                     direction,
                     dict(node_map),
-                    {hn: n.nodes[hn].word for hn in mapped},
+                    {hn: n.nodes[hn] for hn in mapped},
                     dict(binding),
                     [in_legs[i] for i in range(len(pat.in_type))],
                     [out_legs[j] for j in range(len(pat.out_type))],
@@ -650,7 +671,9 @@ def _reference_apply(n, inst):
     def ren_snk(snk):
         return ("OUT", snk[1]) if snk[0] == "bout" else ("nin", rename[snk[1]], snk[2])
 
-    internal_host = {("nin", inst.node_map[snk[1]], snk[2]) for snk, _ in pat.internal}
+    internal_host = {
+        ("nin", inst.node_map[snk[1]], snk[2]) for wires in pat.internal_at for snk, _ in wires
+    }
     pt_wires = {c[1] for c in inst.wire_choices if c[0] == "wire"}
     consumed_loops = sorted(
         {c[1] for c in inst.wire_choices if c[0] == "loop"} | set(inst.loop_choices), reverse=True
