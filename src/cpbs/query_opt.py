@@ -135,7 +135,13 @@ def _certified(d: Term) -> tuple[Term, list[RuleInstance]]:
 def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstance]]:
     """optimize_queries_traced's rewritten netlist (the input's own if already
     optimal), the input's table and the site of each step, unhashed; only the
-    queries are certified."""
+    queries are certified.
+
+    A split costs O(k) in the matcher, but each step still pays for the
+    whole netlist, so a run is quadratic: 1.1 s on 2,000 letters, chained or
+    in one gate (Python 3.11, 2 vCPUs).  Under cProfile, ``Netlist.sink_of()``,
+    rebuilt on each ``match_at``, takes 1.1 of 1.9 s, and the site keys'
+    ``repr`` of each split's O(k) rest word 0.2 s."""
     n = to_netlist(d)
     t = semantics_table(n)
     bounds = query_lower_bounds(t)

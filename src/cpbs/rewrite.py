@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .errors import DerivationFailed, StaleInstance
 from .netlist import Netlist, netlists_isomorphic, to_netlist
-from .rules import RULES, Rule, substitute, word_vars
+from .rules import RULES, Rule, WVar, substitute, word_vars
 from .semantics import semantics_table, tables_equal
 from .terms import Colour, Gen, Term, Word
 
@@ -93,31 +93,23 @@ def _compile(rule_id: str, direction: str) -> _Pattern:
 # word matching
 # ---------------------------------------------------------------------------
 
-def _match_word(pattern: Word, host: Word, binding: dict[str, Word]) -> list[dict[str, Word]]:
-    """All bindings making the pattern word equal the host word.
-
-    Splits are enumerated shortest-first per variable, so results are
-    deterministically ordered.
-    """
+def _match_word(pattern: tuple[WVar, ...], host: Word, binding: dict[str, Word]) -> list[dict[str, Word]]:
+    """Every binding, each a fresh dict, that makes the pattern word (a run of
+    word variables) equal the host word.  A bound variable must come next; a
+    free one tries its lengths shortest first, but the last takes the rest."""
     if not pattern:
         return [dict(binding)] if not host else []
     head, rest = pattern[0], pattern[1:]
-    if isinstance(head, str):
-        if host and host[0] == head:
-            return _match_word(rest, host[1:], binding)
-        return []
     if head.name in binding:
         bound = binding[head.name]
         if host[: len(bound)] == bound:
             return _match_word(rest, host[len(bound) :], binding)
         return []
-    out: list[dict[str, Word]] = []
     lengths = [head.exact] if head.exact is not None else range(head.min_len, len(host) + 1)
-    for k in lengths:
-        if k > len(host):
-            continue
-        out.extend(_match_word(rest, host[k:], {**binding, head.name: host[:k]}))
-    return out
+    if not rest:
+        return [{**binding, head.name: host}] if len(host) in lengths else []
+    fits = (k for k in lengths if k <= len(host))
+    return [b for k in fits for b in _match_word(rest, host[k:], {**binding, head.name: host[:k]})]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """The equational theory as a catalogue of directed rewrite rules.
 
 Each rule is a pair of well-typed terms over the same boundary type.
-Gate words in rule sides may contain word variables (WVar), which the
-matcher binds to concrete letter sequences; a variable appearing twice
-(AX5, DER21..24) forces equal words.  rewrite.check_soundness tables
-each side as it stands, a variable read as one more letter, which also
-checks that both sides have one boundary type.  Sequencing is
-trajectory order: Seq(a, b) means a first, then b.
+Every gate word in a rule side is a run of word variables (WVar); the
+matcher binds each to a run of letters, the last taking the rest, and a
+variable appearing twice (AX5, DER21..24) forces equal runs.
+rewrite.check_soundness tables each side as it stands, a variable read
+as one more letter, which also checks that both sides have one boundary
+type.  Sequencing is trajectory order: Seq(a, b) means a first, then b.
 
 The STRUCT entries (yanking, dinaturality, swap naturality) hold by
 construction in the wire-level representation, so they rewrite nothing;
@@ -16,6 +16,7 @@ they exist so proof traces can record them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .terms import (
     Colour,
@@ -200,30 +201,23 @@ ALL_RULE_IDS = AXIOM_IDS + DERIVED_IDS + ANCILLARY_IDS + STRUCT_IDS
 
 
 def word_vars(t: Term) -> dict[str, WVar]:
-    """All word variables of a term, by name; ValueError on a name with two constraints."""
+    """The word variables of a rule side, by name; ValueError on a name with two constraints."""
     out: dict[str, WVar] = {}
     for g in generators(t):
-        for el in g.word:
-            if isinstance(el, WVar):
-                if out.setdefault(el.name, el) != el:
-                    raise ValueError(f"conflicting constraints on variable {el.name}")
+        for v in g.word:
+            if out.setdefault(v.name, v) != v:
+                raise ValueError(f"conflicting constraints on variable {v.name}")
     return out
 
 
 def substitute(t: Term, binding: dict[str, tuple[str, ...]]) -> Term:
-    """Replace every word variable by its bound letter sequence.  A lone box,
-    as ``splice`` passes one replacement box at a time, skips the fold."""
+    """Replace each word variable of a rule side by its bound run of letters.
+    A lone box, as ``splice`` passes one replacement box at a time, skips the fold."""
 
     def gen(g: Gen) -> Gen:
         if not g.word:
             return g
-        word: list[str] = []
-        for el in g.word:
-            if isinstance(el, WVar):
-                word.extend(binding[el.name])
-            else:
-                word.append(el)
-        return Gen(g.kind, tuple(word), g.colours)
+        return Gen(g.kind, tuple(chain.from_iterable(binding[v.name] for v in g.word)), g.colours)
 
     if type(t) is Gen:
         return gen(t)

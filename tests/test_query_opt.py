@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import random
 import time
 
 import pytest
@@ -303,3 +304,20 @@ def test_fusing_a_hundred_equal_letters_is_quick():
     assert len(steps) == 1 + 2 * (k - 1) + k
     assert count_queries(out, "U") == k
     assert elapsed < 3.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("shape", ["chain", "word"])
+def test_splitting_a_long_word_is_quick(shape):
+    # DER18 splits a gate's word into its first letter and the rest; the
+    # matcher binds the rest in one step, not by trying each length for it
+    k = 2000
+    if shape == "chain":
+        d = seq(*[gate_v(("u",))] * k)
+    else:
+        d = gate_v(tuple(random.Random(0).choices("abcdefg", k=k)))
+    start = time.perf_counter()
+    n, _, steps = cpbs.query_opt._optimize_queries(d)
+    elapsed = time.perf_counter() - start
+    assert all(len(g.word) <= 1 for g in n.nodes.values())
+    assert len(steps) > 1
+    assert elapsed < 4.0, f"{elapsed:.2f} s"

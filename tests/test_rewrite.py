@@ -61,11 +61,6 @@ A = WVar("A")
 B = WVar("B")
 
 
-def test_match_word_literal():
-    assert _match_word(("x", "y"), ("x", "y"), {}) == [{}]
-    assert _match_word(("x", "y"), ("y", "x"), {}) == []
-
-
 def test_match_word_splits_are_ordered():
     out = _match_word((A, B), ("x", "y"), {})
     assert [b["A"] for b in out] == [(), ("x",), ("x", "y")]
@@ -85,6 +80,14 @@ def test_match_word_constraints():
     assert _match_word((u,), (), {}) == []
     assert _match_word((w,), (), {}) == []
     assert _match_word((u, w), ("x", "y"), {}) == [{"u": ("x",), "w": ("y",)}]
+    # the last variable takes the rest of the word, whatever its length
+    word = tuple(random.Random(0).choice("UVWK") for _ in range(2000))
+    assert _match_word((u, w), word, {}) == [{"u": word[:1], "w": word[1:]}]
+    assert _match_word((A,), word, {}) == [{"A": word}]
+    assert _match_word((A,), (), {}) == [{"A": ()}]
+    assert _match_word((u,), ("x",), {}) == [{"u": ("x",)}]
+    assert _match_word((u,), ("x", "y"), {}) == []
+    assert _match_word((u, w), ("x",), {}) == []
 
 
 @given(st.lists(st.sampled_from("UVW"), max_size=6).map(tuple))
