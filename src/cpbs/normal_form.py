@@ -66,8 +66,7 @@ class NormalForm:
     @property
     def S(self) -> Term:
         """Splitter layer: one split per black input, wires elsewhere."""
-        cells = [split_vh() if c == Colour.T else ident(c) for c in self.in_type]
-        return par(*cells) if cells else Empty()
+        return par(*(split_vh() if c == Colour.T else ident(c) for c in self.in_type))
 
     @property
     def G(self) -> Term:
@@ -78,9 +77,8 @@ class NormalForm:
     @property
     def F(self) -> Term:
         """Negation layer: each line that changes colour crosses the negation flipping it."""
-        cells = [ident(l.source[0]) if l.source[0] == l.target[0] else Gen(NEG_FOR[l.source[0]])
-                 for l in self.lines]
-        return par(*cells) if cells else Empty()
+        return par(*(ident(l.source[0]) if l.source[0] == l.target[0] else Gen(NEG_FOR[l.source[0]])
+                     for l in self.lines))
 
     @property
     def permutation(self) -> tuple[int, ...]:
@@ -96,8 +94,7 @@ class NormalForm:
 
     @property
     def M(self) -> Term:
-        cells = [merge_vh() if c == Colour.T else ident(c) for c in self.out_type]
-        return par(*cells) if cells else Empty()
+        return par(*(merge_vh() if c == Colour.T else ident(c) for c in self.out_type))
 
     @_drawn_once
     def as_term(self) -> Term:

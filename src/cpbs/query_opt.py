@@ -16,7 +16,8 @@ from heapq import heapify, heappop, heappush
 
 from .netlist import Netlist, to_netlist, to_term
 from .normal_form import _synthesize_nf
-from .rewrite import ProofStep, RuleInstance, _compile, match_at, splice
+from .rewrite import ProofStep, RuleInstance, match_at, splice
+from .rules import RULES
 from .semantics import SemanticsTable, _certify, semantics_table
 from .terms import GATE_KINDS, Term, Word
 
@@ -137,11 +138,11 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstan
     optimal), the input's table and the site of each step, unhashed; only the
     queries are certified.
 
-    A split costs O(k) in the matcher, but each step still pays for the
-    whole netlist, so a run is quadratic: 1.1 s on 2,000 letters, chained or
-    in one gate (Python 3.11, 2 vCPUs).  Under cProfile, ``Netlist.sink_of()``,
-    rebuilt on each ``match_at``, takes 1.1 of 1.9 s, and the site keys'
-    ``repr`` of each split's O(k) rest word 0.2 s."""
+    A split costs O(k) in the matcher, but each step still searches the
+    wires for its out-legs and reprs a site key holding an O(k) rest word, so
+    a run is quadratic: 0.3-0.4 s on 2,000 letters, chained or in one gate,
+    and 1.1-1.4 s on 4,000 (Python 3.11, 2 vCPUs).  Under cProfile at 2,000
+    the site keys' ``repr`` takes 0.13-0.16 of 0.53 s, the searches 0-0.09 s."""
     n = to_netlist(d)
     t = semantics_table(n)
     bounds = query_lower_bounds(t)
@@ -178,7 +179,7 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstan
     # string (site keys are reprs, so [(0, 12)] sorts before [(0, 7)]), so a
     # heap keyed that way names each step's gate.
     for rule_id in _SPLIT_RULES:
-        kind = _compile(rule_id, "L2R").nodes[0].kind
+        kind = RULES[rule_id].lhs.kind
         heap = [(str(i), i) for i, g in n.nodes.items() if g.kind == kind and len(g.word) > 1]
         heapify(heap)
         while heap:

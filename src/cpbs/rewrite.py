@@ -11,7 +11,8 @@ variables bound, and writes its wires onto the legs: input slot i reads
 in_legs[i], output slot j feeds out_legs[j].  Where the host runs
 output j straight back into input i, the splice follows the
 replacement's wire into j; a chain of such slots that closes up becomes
-a bare loop.
+a bare loop.  A site is valid exactly when the matcher finds it: apply
+re-matches before it rewrites, and splice, in place, takes one just matched.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -118,10 +120,11 @@ def _match_word(pattern: tuple[WVar, ...], host: Word, binding: dict[str, Word])
 
 @dataclass
 class RuleInstance:
+    """A rule side's site on a host netlist, fixed by what the matcher found."""
+
     rule: str
     direction: str
     node_map: dict[int, int] = field(default_factory=dict)
-    boxes: dict[int, Gen] = field(default_factory=dict)  # host boxes seen at match time
     bindings: dict[str, Word] = field(default_factory=dict)
     in_legs: list = field(default_factory=list)
     out_legs: list = field(default_factory=list)
@@ -204,13 +207,22 @@ def _node_matches(
     nodes that keep its internal wires.
 
     A wire is checked as soon as both of its nodes are placed; the legs
-    are read from the ports of the matched nodes.
+    are read from the ports of the matched nodes, the first four out-legs
+    by a search of the wires; past four, the reverse map costs less.
     """
     by_kind: dict[str, list[int]] = {}
     for hn in sorted(nodes):
         by_kind.setdefault(n.nodes[hn].kind, []).append(hn)
-    rev = n.sink_of()
+    rev: dict[Source, Sink] = {}
     out: list[RuleInstance] = []
+
+    def reader(src: Source) -> Sink:
+        if src not in rev:
+            if len(rev) < 4:
+                rev[src] = next(itertools.islice(n.wires, operator.indexOf(n.wires.values(), src), None))
+            else:
+                rev.update(n.sink_of())
+        return rev[src]
 
     def extend(i: int, node_map: dict[int, int], binding: dict[str, Word]) -> None:
         if i == len(pat.nodes):
@@ -218,10 +230,9 @@ def _node_matches(
                 rule_id,
                 direction,
                 node_map,
-                {hn: n.nodes[hn] for hn in node_map.values()},
                 binding,
                 [n.wires[("nin", node_map[snk[1]], snk[2])] for _, snk in pat.bound_in],
-                [rev[("nout", node_map[src[1]], src[2])] for _, src in pat.bound_out],
+                [reader(("nout", node_map[src[1]], src[2])) for _, src in pat.bound_out],
             ))
             return
         for hn in by_kind.get(pat.nodes[i].kind, ()):
@@ -269,7 +280,7 @@ def _wire_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> li
                 else:
                     in_legs[i] = out_legs[j] = ("loopend", choice[1])
             out.append(RuleInstance(
-                rule_id, direction, {}, {}, {}, in_legs, out_legs, list(pt_choice), list(loop_choice)
+                rule_id, direction, {}, {}, in_legs, out_legs, list(pt_choice), list(loop_choice)
             ))
     return out
 
@@ -279,55 +290,26 @@ def _wire_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> li
 # ---------------------------------------------------------------------------
 
 def apply(n: Netlist, inst: RuleInstance) -> Netlist:
-    """Rewrite at the matched site, returning a new netlist.
-
-    The replacement's boxes are numbered from ``max(n.nodes) + 1``.
-    Raises StaleInstance if the diagram changed since the match was
-    found.
-    """
+    """Rewrite at the site, returning a new netlist whose new boxes are
+    numbered from ``max(n.nodes) + 1``.  Re-matches first, and raises
+    StaleInstance unless the matcher finds the site on n as it stands."""
+    nodes = inst.node_map.values()
+    if inst not in match_at(n, inst.rule, inst.direction, n.nodes.keys() & nodes):
+        raise StaleInstance(f"{inst.rule} {inst.direction} no longer matches at nodes {sorted(nodes)}")
     out = Netlist(n.in_type, n.out_type, dict(n.nodes), dict(n.wires), n.loops)
     splice(out, inst, max(n.nodes, default=-1) + 1)
     return out
 
 
 def splice(n: Netlist, inst: RuleInstance, base: int) -> range:
-    """Rewrite n in place at the matched site; returns the new boxes' ids.
-
-    The replacement's boxes are numbered from ``base``, which no node of
-    n may reach.  Raises StaleInstance, leaving n as it was, if the
-    diagram changed since the match was found.
-    """
+    """Rewrite n in place at a site matched on n as it stands, unchecked
+    (apply checks); returns the new boxes' ids, numbered from ``base``.
+    Raises ValueError, leaving n as it was, if any of those ids is taken."""
     pat = _compile(inst.rule, inst.direction)
-
-    # --- revalidate the site
-    for hn, box in inst.boxes.items():
-        if n.nodes.get(hn) != box:
-            raise StaleInstance(f"node {hn} changed under {inst.rule}")
-    for snk, src in itertools.chain.from_iterable(pat.internal_at):
-        host_snk = ("nin", inst.node_map[snk[1]], snk[2])
-        host_src = ("nout", inst.node_map[src[1]], src[2])
-        if n.wires.get(host_snk) != host_src:
-            raise StaleInstance(f"wire {host_snk} changed under {inst.rule}")
-    for (_, _, col), choice in zip(pat.passthrough, inst.wire_choices):
-        if choice[0] == "wire":
-            if n.wires.get(choice[1]) != choice[2]:
-                raise StaleInstance("matched wire is gone")
-        elif choice[1] >= len(n.loops) or n.loops[choice[1]] != col:
-            raise StaleInstance("matched loop is gone")
-    for idx, col in zip(inst.loop_choices, pat.loops):
-        if idx >= len(n.loops) or n.loops[idx] != col:
-            raise StaleInstance("matched loop is gone")
-    for i, snk in pat.bound_in:
-        if n.wires.get(("nin", inst.node_map[snk[1]], snk[2])) != inst.in_legs[i]:
-            raise StaleInstance("input leg changed")
-    for j, src in pat.bound_out:
-        if n.wires.get(inst.out_legs[j]) != ("nout", inst.node_map[src[1]], src[2]):
-            raise StaleInstance("output leg changed")
     new_ids = range(base, base + len(pat.rep.nodes))
     if any(k in n.nodes for k in new_ids):
         raise ValueError(f"node ids from {base} are taken")
 
-    # --- splice the replacement onto the legs
     # the wires into the matched nodes go; every other wire the site
     # takes ends at an out-leg, which the splice rewrites
     for hn in inst.node_map.values():

@@ -471,7 +471,6 @@ def _reference_matches(n, rule_id, direction):
                     rule_id,
                     direction,
                     dict(node_map),
-                    {hn: n.nodes[hn] for hn in mapped},
                     dict(binding),
                     [in_legs[i] for i in range(len(pat.in_type))],
                     [out_legs[j] for j in range(len(pat.out_type))],
@@ -561,13 +560,14 @@ def test_a_stale_splice_leaves_the_netlist_alone():
     splice(n, first, 2)
     before = (dict(n.nodes), dict(n.wires), n.loops)
     with pytest.raises(StaleInstance):
-        splice(n, first, 4)
+        apply(n, first)
     with pytest.raises(ValueError, match="taken"):
         splice(n, second, 3)
     assert (n.nodes, n.wires, n.loops) == before
 
 
-@pytest.mark.parametrize("host, rule_id, direction, pick, changed, why", [
+# the last column only names the case, and keeps the tests' ids
+@pytest.mark.parametrize("host, rule_id, direction, pick, changed, what", [
     # AX2's internal wire from gate 0 to gate 1 is cut
     ("gate[U,V] ; gate[W,V]", "AX2", "L2R", 0, "gate[U,V] | gate[W,V]", "wire .* changed"),
     # AX2's input leg now comes round from gate 1
@@ -581,14 +581,37 @@ def test_a_stale_splice_leaves_the_netlist_alone():
     ("tr[V](id[V])", "AX1", "R2L", 0, "tr[H](id[H])", "matched loop is gone"),
     # APPE26's own loop has gone
     ("tr[V](id[V])", "APPE26", "L2R", 0, "tr[H](id[H])", "matched loop is gone"),
+    # AX7's matched wire into the gate is still there, but now carries H
+    ("gate[U,V]", "AX7", "R2L", 0, "gate[U,H]", "matched wire is recoloured"),
 ])
-def test_a_splice_on_a_changed_site_is_stale(host, rule_id, direction, pick, changed, why):
+def test_a_splice_on_a_changed_site_is_stale(host, rule_id, direction, pick, changed, what):
     inst = find_matches(to_netlist(parse(host)), rule_id, direction)[pick]
     n = to_netlist(parse(changed))
     before = (dict(n.nodes), dict(n.wires), n.loops)
-    with pytest.raises(StaleInstance, match=why):
-        splice(n, inst, 2)
+    with pytest.raises(StaleInstance, match=f"{rule_id} {direction} no longer matches"):
+        apply(n, inst)
     assert (n.nodes, n.wires, n.loops) == before
+
+
+def test_a_site_applied_to_another_host_is_refused_or_sound():
+    # a site carried to another host either still matches there, and the
+    # rewrite keeps every wire one colour and the host's table, or is stale
+    hosts = _cross_check_hosts()[::3]
+    applied = refused = 0
+    for rule_id in ALL_RULE_IDS:
+        for direction in ("L2R", "R2L"):
+            for k, host in enumerate(hosts):
+                sites = find_matches(host, rule_id, direction)
+                for n in hosts[k : k + 4] if sites else ():
+                    try:
+                        out = apply(n, sites[0])
+                    except StaleInstance:
+                        refused += 1
+                        continue
+                    assert all(out.sink_colour(snk) == out.source_colour(src) for snk, src in out.wires.items())
+                    assert tables_equal(semantics_table(out), semantics_table(n)), (rule_id, direction)
+                    applied += 1
+    assert applied > 1000 and refused > 1000, (applied, refused)
 
 
 @pytest.fixture
