@@ -89,8 +89,6 @@ def _read_assignment(path: str | None) -> GateAssignment:
             mat[k // d, k % d] = complex(float(re_s), float(im_s or 0.0))
         mats[letter] = mat
         dim = d
-    if any(m.shape != (dim, dim) for m in mats.values()):
-        raise ValueError("assignment matrices must share one dimension")
     return cpbs.quantum.GateAssignment(dim, mats)
 
 

@@ -35,6 +35,10 @@ class GateAssignment:
     dim: int
     map: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if any(np.shape(m) != (self.dim, self.dim) for m in self.map.values()):
+            raise ValueError("assignment matrices must share one dimension")
+
     def __getitem__(self, letter: str) -> np.ndarray:
         try:
             return self.map[letter]

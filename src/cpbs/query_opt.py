@@ -138,11 +138,12 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstan
     optimal), the input's table and the site of each step, unhashed; only the
     queries are certified.
 
-    A split costs O(k) in the matcher, but each step still searches the
-    wires for its out-legs and reprs a site key holding an O(k) rest word, so
-    a run is quadratic: 0.3-0.4 s on 2,000 letters, chained or in one gate,
-    and 1.1-1.4 s on 4,000 (Python 3.11, 2 vCPUs).  Under cProfile at 2,000
-    the site keys' ``repr`` takes 0.13-0.16 of 0.53 s, the searches 0-0.09 s."""
+    A split costs O(k) in the matcher, but each step's splice searches the
+    wires for its out-legs and the matcher reprs a site key holding an O(k)
+    rest word, so a run is quadratic: 0.27-0.36 s on 2,000 letters, chained
+    or in one gate, and 0.85-1.4 s on 4,000 (Python 3.11, 2 vCPUs).  Under
+    cProfile at 2,000 the site keys' ``repr`` takes 0.13 of 0.43-0.52 s, the
+    searches 0-0.09 s."""
     n = to_netlist(d)
     t = semantics_table(n)
     bounds = query_lower_bounds(t)

@@ -1,18 +1,19 @@
 """Matching and applying rewrite rules on netlists.
 
 A rule side compiles to one of two patterns, never a mix.  A node
-pattern has nodes to embed injectively, wires between them that must
-be present verbatim, and boundary attachments that become the legs of
-the match.  A wire pattern has no node, only pass-through wires and
-bare loops, each matched by a distinct host wire or loop of its colour;
-an empty side (the STRUCT rules) matches once.  Applying a match
-removes the matched nodes, adds the other side's boxes with their word
-variables bound, and writes its wires onto the legs: input slot i reads
-in_legs[i], output slot j feeds out_legs[j].  Where the host runs
-output j straight back into input i, the splice follows the
-replacement's wire into j; a chain of such slots that closes up becomes
-a bare loop.  A site is valid exactly when the matcher finds it: apply
-re-matches before it rewrites, and splice, in place, takes one just matched.
+pattern has nodes to embed injectively and wires between them that
+must be present verbatim.  A wire pattern has no node, only
+pass-through wires and bare loops, each matched by a distinct host wire
+or loop of its colour; an empty side (the STRUCT rules) matches once.
+A site is the matcher's choice of nodes, word bindings, wires and
+loops.  Applying it removes the matched nodes, adds the other side's
+boxes with their word variables bound, and writes its wires onto the
+legs it reads off the host: input slot i reads what fed the site there,
+and output slot j feeds what it fed.  Where the host runs output j
+straight back into input i, the splice follows the replacement's wire
+into j; a chain of such slots that closes up becomes a bare loop.  A
+site is valid exactly when the matcher finds it: apply re-matches it on
+its own nodes, wires and loops, and splice, in place, takes one just matched.
 """
 
 from __future__ import annotations
@@ -120,30 +121,19 @@ def _match_word(pattern: tuple[WVar, ...], host: Word, binding: dict[str, Word])
 
 @dataclass
 class RuleInstance:
-    """A rule side's site on a host netlist, fixed by what the matcher found."""
+    """A rule side's site on a host netlist: exactly what the matcher chose,
+    its node map and word bindings or its host wires and loops."""
 
     rule: str
     direction: str
     node_map: dict[int, int] = field(default_factory=dict)
     bindings: dict[str, Word] = field(default_factory=dict)
-    in_legs: list = field(default_factory=list)
-    out_legs: list = field(default_factory=list)
     wire_choices: list = field(default_factory=list)  # per pass-through: ("wire", snk, src) | ("loop", i)
     loop_choices: list[int] = field(default_factory=list)
 
     def site_key(self) -> str:
-        return repr(
-            (
-                self.rule,
-                self.direction,
-                sorted(self.node_map.items()),
-                sorted(self.bindings.items()),
-                self.in_legs,
-                self.out_legs,
-                self.wire_choices,
-                self.loop_choices,
-            )
-        )
+        node_map, bindings = sorted(self.node_map.items()), sorted(self.bindings.items())
+        return repr((self.rule, self.direction, node_map, bindings, self.wire_choices, self.loop_choices))
 
     @property
     def site_hash(self) -> str:
@@ -185,55 +175,42 @@ def match_at(n: Netlist, rule_id: str, direction: str, nodes: Iterable[int]) -> 
     matcher tries no other host node.  A wire pattern matches no node,
     so every one of its sites qualifies.
     """
-    pat = _compile(rule_id, direction)
-    if pat.invents_words:
-        return []
-    if pat.nodes:
-        out = _node_matches(n, pat, rule_id, direction, nodes)
-    else:
-        out = _wire_matches(n, pat, rule_id, direction)
+    out = _matches(n, rule_id, direction, nodes, n.wires, range(len(n.loops)))
     out.sort(key=RuleInstance.site_key)
     return out
 
 
-def _node_matches(
+def _matches(
     n: Netlist,
-    pat: _Pattern,
     rule_id: str,
     direction: str,
     nodes: Iterable[int],
+    sinks: Iterable[Sink],
+    loops: Iterable[int],
 ) -> list[RuleInstance]:
-    """Injective embeddings of the pattern's nodes into the given host
-    nodes that keep its internal wires.
+    """match_at's sites, unsorted, with a wire pattern's wires among those
+    into the given sinks and its loops among the given loop indices."""
+    pat = _compile(rule_id, direction)
+    if pat.invents_words:
+        return []
+    if pat.nodes:
+        return [RuleInstance(rule_id, direction, m, b) for m, b in _node_matches(n, pat, nodes)]
+    return [RuleInstance(rule_id, direction, {}, {}, *c) for c in _wire_matches(n, pat, sinks, loops)]
 
-    A wire is checked as soon as both of its nodes are placed; the legs
-    are read from the ports of the matched nodes, the first four out-legs
-    by a search of the wires; past four, the reverse map costs less.
-    """
+
+def _node_matches(n: Netlist, pat: _Pattern, nodes: Iterable[int]) -> list[tuple[dict, dict]]:
+    """Each injective embedding of the pattern's nodes into the given host
+    nodes that keeps its internal wires, with each binding of its words.
+    A wire is checked once both of its nodes are placed, by the source its
+    sink reads: the matcher reads no wire backwards."""
     by_kind: dict[str, list[int]] = {}
     for hn in sorted(nodes):
         by_kind.setdefault(n.nodes[hn].kind, []).append(hn)
-    rev: dict[Source, Sink] = {}
-    out: list[RuleInstance] = []
-
-    def reader(src: Source) -> Sink:
-        if src not in rev:
-            if len(rev) < 4:
-                rev[src] = next(itertools.islice(n.wires, operator.indexOf(n.wires.values(), src), None))
-            else:
-                rev.update(n.sink_of())
-        return rev[src]
+    out: list[tuple[dict, dict]] = []
 
     def extend(i: int, node_map: dict[int, int], binding: dict[str, Word]) -> None:
         if i == len(pat.nodes):
-            out.append(RuleInstance(
-                rule_id,
-                direction,
-                node_map,
-                binding,
-                [n.wires[("nin", node_map[snk[1]], snk[2])] for _, snk in pat.bound_in],
-                [reader(("nout", node_map[src[1]], src[2])) for _, src in pat.bound_out],
-            ))
+            out.append((node_map, binding))
             return
         for hn in by_kind.get(pat.nodes[i].kind, ()):
             if hn in node_map.values():
@@ -250,39 +227,50 @@ def _node_matches(
     return out
 
 
-def _wire_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> list[RuleInstance]:
-    """Every choice of distinct colour-matched host wires or loops for the
-    pattern's pass-through wires, and of distinct loops for its loops."""
+def _wire_matches(n: Netlist, pat: _Pattern, sinks: Iterable[Sink], loop_ids: Iterable[int]) -> list:
+    """Every choice of distinct colour-matched host wires into the given
+    sinks, or loops among the given indices, for the pattern's pass-through
+    wires, each with every choice of distinct such loops for its loops."""
     wires: dict[Colour, list] = {}
-    for snk, src in sorted(n.wires.items()):
-        wires.setdefault(n.sink_colour(snk), []).append(("wire", snk, src))
+    for snk in sinks:
+        wires.setdefault(n.sink_colour(snk), []).append(("wire", snk, n.wires[snk]))
     loops: dict[Colour, list[int]] = {}
-    for i, col in enumerate(n.loops):
-        loops.setdefault(col, []).append(i)
+    for i in loop_ids:
+        loops.setdefault(n.loops[i], []).append(i)
     pt_candidates = [
         wires.get(col, []) + [("loop", i) for i in loops.get(col, [])]
         for _, _, col in pat.passthrough
     ]
-    out: list[RuleInstance] = []
+    out: list[tuple[list, list]] = []
     for pt_choice in itertools.product(*pt_candidates):
         if len(set(pt_choice)) != len(pt_choice):
             continue
         taken_loops = [c[1] for c in pt_choice if c[0] == "loop"]
         for loop_choice in itertools.product(*(loops.get(col, []) for col in pat.loops)):
             pool = taken_loops + list(loop_choice)
-            if len(set(pool)) != len(pool):
-                continue
-            in_legs: list = [None] * len(pat.in_type)
-            out_legs: list = [None] * len(pat.out_type)
-            for (i, j, _), choice in zip(pat.passthrough, pt_choice):
-                if choice[0] == "wire":
-                    in_legs[i], out_legs[j] = choice[2], choice[1]
-                else:
-                    in_legs[i] = out_legs[j] = ("loopend", choice[1])
-            out.append(RuleInstance(
-                rule_id, direction, {}, {}, in_legs, out_legs, list(pt_choice), list(loop_choice)
-            ))
+            if len(set(pool)) == len(pool):
+                out.append((list(pt_choice), list(loop_choice)))
     return out
+
+
+def _legs(n: Netlist, pat: _Pattern, inst: RuleInstance) -> tuple[list, list]:
+    """Where the site meets n: the source each input slot reads and the
+    sink each output slot feeds, ("loopend", i) at a matched loop i.  An
+    out-leg of a matched node is one search of the wires, which hashes
+    nothing; no other code here finds the sink a port feeds."""
+    in_legs: list = [None] * len(pat.in_type)
+    out_legs: list = [None] * len(pat.out_type)
+    for i, snk in pat.bound_in:
+        in_legs[i] = n.wires[("nin", inst.node_map[snk[1]], snk[2])]
+    for j, src in pat.bound_out:
+        port = ("nout", inst.node_map[src[1]], src[2])
+        out_legs[j] = next(itertools.islice(n.wires, operator.indexOf(n.wires.values(), port), None))
+    for (i, j, _), choice in zip(pat.passthrough, inst.wire_choices):
+        if choice[0] == "wire":
+            in_legs[i], out_legs[j] = choice[2], choice[1]
+        else:
+            in_legs[i] = out_legs[j] = ("loopend", choice[1])
+    return in_legs, out_legs
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +279,13 @@ def _wire_matches(n: Netlist, pat: _Pattern, rule_id: str, direction: str) -> li
 
 def apply(n: Netlist, inst: RuleInstance) -> Netlist:
     """Rewrite at the site, returning a new netlist whose new boxes are
-    numbered from ``max(n.nodes) + 1``.  Re-matches first, and raises
-    StaleInstance unless the matcher finds the site on n as it stands."""
+    numbered from ``max(n.nodes) + 1``.  Re-matches first, on the site's
+    own nodes, wires and loops, and raises StaleInstance unless the
+    matcher finds the site there on n as it stands."""
     nodes = inst.node_map.values()
-    if inst not in match_at(n, inst.rule, inst.direction, n.nodes.keys() & nodes):
+    sinks = [c[1] for c in inst.wire_choices if c[0] == "wire" and c[1] in n.wires]
+    loops = [i for i in range(len(n.loops)) if i in inst.loop_choices or ("loop", i) in inst.wire_choices]
+    if inst not in _matches(n, inst.rule, inst.direction, n.nodes.keys() & nodes, sinks, loops):
         raise StaleInstance(f"{inst.rule} {inst.direction} no longer matches at nodes {sorted(nodes)}")
     out = Netlist(n.in_type, n.out_type, dict(n.nodes), dict(n.wires), n.loops)
     splice(out, inst, max(n.nodes, default=-1) + 1)
@@ -303,12 +294,14 @@ def apply(n: Netlist, inst: RuleInstance) -> Netlist:
 
 def splice(n: Netlist, inst: RuleInstance, base: int) -> range:
     """Rewrite n in place at a site matched on n as it stands, unchecked
-    (apply checks); returns the new boxes' ids, numbered from ``base``.
-    Raises ValueError, leaving n as it was, if any of those ids is taken."""
+    (apply checks), onto the legs it reads off n; returns the new boxes'
+    ids, numbered from ``base``.  Raises ValueError, leaving n as it was,
+    if any of those ids is taken."""
     pat = _compile(inst.rule, inst.direction)
     new_ids = range(base, base + len(pat.rep.nodes))
     if any(k in n.nodes for k in new_ids):
         raise ValueError(f"node ids from {base} are taken")
+    in_legs, out_legs = _legs(n, pat, inst)
 
     # the wires into the matched nodes go; every other wire the site
     # takes ends at an out-leg, which the splice rewrites
@@ -322,8 +315,8 @@ def splice(n: Netlist, inst: RuleInstance, base: int) -> range:
     # back[i] = j: the host runs output slot j straight into input slot i,
     # through a matched loop or a wire from one site port to another
     site_out = {("nout", inst.node_map[src[1]], src[2]): j for j, src in pat.bound_out}
-    back = {i: j for i, j, _ in pat.passthrough if inst.in_legs[i][0] == "loopend"}
-    back.update((i, site_out[leg]) for i, leg in enumerate(inst.in_legs) if leg in site_out)
+    back = {i: j for i, j, _ in pat.passthrough if in_legs[i][0] == "loopend"}
+    back.update((i, site_out[leg]) for i, leg in enumerate(in_legs) if leg in site_out)
     fed = set(back.values())
     unreached = set(fed)
 
@@ -333,7 +326,7 @@ def splice(n: Netlist, inst: RuleInstance, base: int) -> range:
             src = pat.rep.wires[("bout", back[src[1]])]
         if src[0] == "nout":
             return ("nout", base + src[1], src[2])
-        leg = inst.in_legs[src[1]]
+        leg = in_legs[src[1]]
         if leg[0] == "loopend" or (leg[0] == "nout" and leg[1] in inst.node_map.values()):
             raise AssertionError(f"splice under {inst.rule} ran into the site's port {leg}")
         return leg
@@ -342,7 +335,7 @@ def splice(n: Netlist, inst: RuleInstance, base: int) -> range:
         if snk[0] == "nin":
             n.wires[("nin", base + snk[1], snk[2])] = source(src)
         elif snk[1] not in fed:
-            n.wires[inst.out_legs[snk[1]]] = source(src)
+            n.wires[out_legs[snk[1]]] = source(src)
 
     consumed = {c[1] for c in inst.wire_choices if c[0] == "loop"} | set(inst.loop_choices)
     new_loops = [c for k, c in enumerate(n.loops) if k not in consumed] + list(pat.rep.loops)

@@ -109,6 +109,16 @@ def test_missing_assignment():
     assert e.value.letter == "W"
 
 
+@pytest.mark.parametrize("mats", [
+    {"U": np.eye(2), "V": np.eye(3)},
+    {"U": np.ones((2, 3))},
+], ids=["two_sizes", "not_square"])
+def test_an_assignment_of_mixed_shapes_is_refused(mats):
+    # refused when the assignment is built, before any product is taken
+    with pytest.raises(ValueError, match="^assignment matrices must share one dimension$"):
+        quantum_matrix(semantics_table(gate_t("U")), mats)
+
+
 def test_isometry_on_random_diagrams():
     rng = random.Random(7)
     for _ in range(60):

@@ -149,7 +149,7 @@ def test_trace_head_is_deformation_then_real_steps():
 
 
 # SHA-1 of the rendered traces of the gallery and random_diagram(0..99), one per line
-TRACES_DIGEST = "86e91a13ea757d6ba1337007eb11808bd24a72b8"
+TRACES_DIGEST = "085770dfb97be5966540855041421ea4a647124c"
 
 
 def test_trace_hashes_each_site_as_it_was_matched(monkeypatch):

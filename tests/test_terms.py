@@ -7,7 +7,11 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from cpbs.errors import InvalidDecomposition
+from cpbs.hardness import CycleDecomposition, diagram_from_decomposition, parse_graph
+from cpbs.netlist import to_netlist
 from cpbs.randgen import random_diagram
+from cpbs.rewrite import find_matches
 from cpbs.terms import (
     Colour,
     Empty,
@@ -203,3 +207,26 @@ def test_random_diagrams_build_and_print_as_before():
     for s in range(500):
         digest.update(repr(random_diagram(s)).encode())
     assert digest.hexdigest() == RANDOM_REPRS_DIGEST
+
+
+# public-input checks that no other test reaches: the type and message of
+# each refusal, and what the empty compositions return
+@pytest.mark.parametrize("call, want", [
+    (lambda: as_word(3), (ValueError, "cannot read word from 3")),
+    (lambda: Gen("id", colours=(Colour.T,), slots=(0,)), (ValueError, "id takes no slots")),
+    (lambda: Gen("perm", colours=(Colour.T, Colour.T), slots=(0, 0)),
+     (ValueError, "perm takes no word and slots permuting its 2 wires")),
+    (lambda: find_matches(to_netlist(gate_v("U")), "AX1", "X"),
+     (ValueError, "direction must be L2R or R2L, not 'X'")),
+    (lambda: diagram_from_decomposition(parse_graph("A A"), CycleDecomposition(((),))),
+     (InvalidDecomposition, "empty cycle")),
+    (lambda: seq(), Empty()),
+    (lambda: par(), Empty()),
+], ids=["as_word", "id_slots", "perm_slots", "direction", "empty_cycle", "seq", "par"])
+def test_public_input_checks(call, want):
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as e:
+            call()
+        assert (type(e.value), str(e.value)) == want
+    else:
+        assert call() == want
