@@ -170,13 +170,23 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
 
     Wires are laid down lazily, driven by chasing one input photon at a
     time over the partial wiring: the unwired source it reaches is the
-    branch point, and a photon exiting on the wrong row kills the branch
-    at once.  ``wiring`` maps each wired source to its sink; ``wired``
-    holds both ends of every wire.  Untouched copies of equal boxes, with
-    no port in ``wired``, are interchangeable, so only the first free
-    port of the colour on the least untouched copy is offered.  Within a
-    box that loses nothing: only pbs4 has two input ports of one colour,
-    and swapping both of its port pairs maps it onto itself.
+    branch point.  Once a wire out of that source is laid, the chase
+    resumes there, carrying the polarisation and the word read so far;
+    the path already walked stays as it was, since wires are laid only
+    at unwired sources.  ``wiring`` maps each wired source to its sink;
+    ``wired`` holds both ends of every wire.
+
+    Two prunes cut only branches that cannot succeed.  Gates append
+    letters and a walk never loses any, so a branch dies as soon as the
+    word read is not a prefix of the target word.  A wire to a boundary
+    sink ends the walk there, so ``("bout", q)`` is offered only when
+    (polarisation, q) is the photon's target configuration.
+
+    Untouched copies of equal boxes, with no port in ``wired``, are
+    interchangeable, so only the first free port of the colour on the
+    least untouched copy is offered.  Within a box that loses nothing:
+    only pbs4 has two input ports of one colour, and swapping both of
+    its port pairs maps it onto itself.
     """
     colour: dict[tuple, Colour] = {("bin", p): c for p, c in enumerate(t.in_type)}
     sinks = [("bout", q) for q in range(len(t.out_type))]  # in the order they are offered
@@ -192,16 +202,26 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
     first = [nodes.index(node) for node in nodes]  # the least index of an equal box
     starts = [(cfg, t.entries[cfg]) for cfg in configurations(t.in_type)]
 
-    def advance(i: int) -> bool:
+    def begin(i: int) -> bool:
         if i == len(starts):
             return True
-        (pol, pos), (target, target_word) = starts[i]
-        end, pol, word = chase(wiring, nodes, ("bin", pos), pol)
+        (pol, pos), _ = starts[i]
+        return advance(i, ("bin", pos), pol, ())
+
+    def advance(i: int, src: tuple, pol: Colour, word: Word) -> bool:
+        """Photon i leaves ``src`` as ``pol``, having read ``word`` so far."""
+        end, pol, more = chase(wiring, nodes, src, pol)
+        word += more
+        target, target_word = starts[i][1]
+        if target_word[: len(word)] != word:
+            return False
         if end[0] == "bout":
-            return (pol, end[1]) == target and word == target_word and advance(i + 1)
+            return (pol, end[1]) == target and word == target_word and begin(i + 1)
         want, offered = colour[end], set()
         for snk in sinks:
             if snk in wired or colour[snk] != want:
+                continue
+            if snk[0] == "bout" and (pol, snk[1]) != target:
                 continue
             if snk[0] == "nin" and wired.isdisjoint(ports[snk[1]]):
                 if first[snk[1]] in offered:
@@ -210,14 +230,14 @@ def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
             wiring[end] = snk
             wired.add(end)
             wired.add(snk)
-            if advance(i):
+            if advance(i, end, pol, word):
                 return True
             del wiring[end]
             wired.remove(end)
             wired.remove(snk)
         return False
 
-    return advance(0)
+    return begin(0)
 
 
 def _balance(nodes: tuple[Gen, ...]) -> tuple[int, int, int]:
@@ -242,19 +262,25 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     input ports and the table's outputs.  A gate maps its one wire's
     colour to itself, so only the PBS and negations move that balance:
     a PBS and negation multiset meets the gate multisets only when its
-    balance makes up the table's ``out_type`` minus ``in_type``.  The
-    balanced candidates reach ``_realises`` in the order of the full
-    enumeration.
+    balance makes up the table's ``out_type`` minus ``in_type``, so the
+    negation multisets are bucketed by balance once and each PBS
+    multiset looks up the bucket for the rest.  The balanced candidates
+    reach ``_realises`` in the order of the full enumeration.  A table
+    whose rows are not exactly the configurations of its input type is
+    refused; one that is but is not a bijection ends in ``NotFound``.
 
     The caps bound the exhaustive search that a ``NotFound`` costs.  On a
     2-vCPU machine, at 6 configurations, 2 queries and 2 negations, one
-    such search took 0.13 s with ``max_pbs=2``, 4.9 s with 3 and over
-    60 s with 4: about 35x per PBS.
+    such search took 0.05 s with ``max_pbs=2``, 1.3 s with 3 and 36 s
+    with 4: about 27x per PBS.
     """
     if max_pbs < 0 or neg_budget < 0:
         raise PreconditionViolated("PBS and negation budgets must be non-negative")
-    if len(list(configurations(t.in_type))) > 6:
+    cfgs = list(configurations(t.in_type))
+    if len(cfgs) > 6:
         raise PreconditionViolated("table is wider than 6 configurations")
+    if t.entries.keys() != set(cfgs):
+        raise PreconditionViolated("table rows are not the configurations of its input type")
     if max_pbs > 4:
         raise PreconditionViolated("PBS budget capped at 4")
     bounds = query_lower_bounds(t)
@@ -262,18 +288,15 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
         raise PreconditionViolated("more than 2 oracle letters in the table")
 
     gate_sets = _gate_options(bounds)
-    neg_sets = [
-        (_balance(negs), negs)
-        for nn in range(neg_budget + 1)
-        for negs in itertools.combinations_with_replacement(map(Gen, sorted(NEG_KINDS)), nn)
-    ]
+    negs_by_balance: dict[tuple[int, int, int], list[tuple[Gen, ...]]] = {}
+    for nn in range(neg_budget + 1):
+        for negs in itertools.combinations_with_replacement(map(Gen, sorted(NEG_KINDS)), nn):
+            negs_by_balance.setdefault(_balance(negs), []).append(negs)
     need = tuple(t.out_type.count(c) - t.in_type.count(c) for c in (T, V, H))
     for n_pbs in range(max_pbs + 1):
         for pbs in itertools.combinations_with_replacement(map(Gen, sorted(PBS_KINDS)), n_pbs):
-            pbs_bal = _balance(pbs)
-            for neg_bal, negs in neg_sets:
-                if tuple(p + g for p, g in zip(pbs_bal, neg_bal)) != need:
-                    continue
+            rest = tuple(n - p for n, p in zip(need, _balance(pbs)))
+            for negs in negs_by_balance.get(rest, ()):
                 for gates in gate_sets:
                     if _realises(t, [*pbs, *negs, *gates]):
                         return n_pbs

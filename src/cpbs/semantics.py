@@ -68,6 +68,9 @@ def chase(
     has at most one predecessor.  A walk must start at a boundary input,
     which has none, or at the output of a node in ``stop``, whose one
     predecessor ends the walk.  So no state of a walk comes round again.
+    A walk may also resume from the unwired source where an earlier walk
+    from a boundary input stopped, once ``sink_at`` wires it: it then
+    continues that walk, so it still ends.
     """
     word: list[str] = []
     while True:

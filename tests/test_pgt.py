@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -128,6 +129,49 @@ def _counter_filtered_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int) 
                     if pgt._realises(t, nodes):
                         return n_pbs
     raise NotFound(f"no realisation within {max_pbs} PBS")
+
+
+def _restarting_realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
+    """Reference wiring search: after each wire it lays, photon i is chased
+    again from its boundary input, and a branch dies only when the photon
+    exits on the wrong row or with the wrong word."""
+    colour = {("bin", p): c for p, c in enumerate(t.in_type)}
+    sinks = [("bout", q) for q in range(len(t.out_type))]
+    colour.update(zip(sinks, t.out_type))
+    ports = []
+    for i, node in enumerate(nodes):
+        ins, outs = node.signature()
+        sinks += (own := [("nin", i, k) for k in range(len(ins))])
+        ports.append(own + [("nout", i, k) for k in range(len(outs))])
+        colour.update(zip(ports[i], ins + outs))
+    wiring, wired = {}, set()
+    first = [nodes.index(node) for node in nodes]
+    starts = [(cfg, t.entries[cfg]) for cfg in configurations(t.in_type)]
+
+    def advance(i):
+        if i == len(starts):
+            return True
+        (pol, pos), (target, target_word) = starts[i]
+        end, pol, word = chase(wiring, nodes, ("bin", pos), pol)
+        if end[0] == "bout":
+            return (pol, end[1]) == target and word == target_word and advance(i + 1)
+        want, offered = colour[end], set()
+        for snk in sinks:
+            if snk in wired or colour[snk] != want:
+                continue
+            if snk[0] == "nin" and wired.isdisjoint(ports[snk[1]]):
+                if first[snk[1]] in offered:
+                    continue
+                offered.add(first[snk[1]])
+            wiring[end] = snk
+            wired.update((end, snk))
+            if advance(i):
+                return True
+            del wiring[end]
+            wired.difference_update((end, snk))
+        return False
+
+    return advance(0)
 
 
 def _searches() -> list[tuple[SemanticsTable, int, int]]:
@@ -607,6 +651,47 @@ class TestBruteForce:
         # the reference calls the same _realises, so a change in the wiring
         # search shows only against these pinned verdicts, in order
         assert hashlib.sha1(repr(verdicts).encode()).hexdigest() == VERDICTS_SHA1
+
+    def test_resumed_search_keeps_every_wiring_verdict(self, monkeypatch):
+        # VERDICTS_SHA1 pins only each search's first True; here every
+        # balanced candidate of a search gets the restarting search's verdict
+        real = pgt._realises
+        answers = Counter()
+
+        def both(t, nodes):
+            got = real(t, nodes)
+            assert got == _restarting_realises(t, nodes), (t, nodes)
+            answers[got] += 1
+            return False  # so the reference loop hands over every candidate
+
+        monkeypatch.setattr(pgt, "_realises", both)
+        for search in _searches()[:100]:
+            with pytest.raises(NotFound):
+                _counter_filtered_min_pbs(*search)
+        assert answers[True] and answers[False]
+
+    def test_table_rows_must_be_its_input_configurations(self):
+        no_rows = SemanticsTable((T,), (T,), {})
+        one_row = SemanticsTable((T,), (T,), {(V, 0): ((V, 0), ())})
+        # (H, 0) is no configuration of a V wire
+        extra_row = SemanticsTable((V,), (V,), {(V, 0): ((V, 0), ()), (H, 0): ((H, 0), ())})
+        for t in (no_rows, one_row, extra_row):
+            with pytest.raises(PreconditionViolated, match="table rows"):
+                brute_force_min_pbs(t, 2)
+        # complete but not a bijection: no diagram has it
+        merged = SemanticsTable((T,), (T,), {(V, 0): ((V, 0), ()), (H, 0): ((V, 0), ())})
+        with pytest.raises(NotFound):
+            brute_force_min_pbs(merged, 2)
+
+    def test_not_found_inside_the_caps_within_seconds(self):
+        # 6 configurations and 2 queries: every candidate up to 3 PBS fails
+        t = semantics_table(random_diagram(19, max_generators=10, max_wires=3, single_query=True))
+        assert len(list(configurations(t.in_type))) == 6
+        assert sum(query_lower_bounds(t).values()) == 2
+        start = time.perf_counter()
+        with pytest.raises(NotFound):
+            brute_force_min_pbs(t, 3)
+        assert time.perf_counter() - start < 3.0
 
     def test_gate_options_cover_fused_and_separate_words(self):
         opts = _gate_options({"U": 2})
