@@ -3,7 +3,8 @@
 Subcommands cover type checking, tables, normal forms, equivalence,
 the two optimisers, lower bounds, matrix simulation, DOT export and
 the Eulerian-graph reduction.  Exit codes: 0 success, 1 domain errors
-(including `equal` deciding "not equivalent"), 2 usage errors.
+(including `equal` deciding "not equivalent") and running out of
+memory, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
             print(print_term(cpbs.hardness.build_C_w_sigma(o.w, o.sigma)))
     except (CpbsError, TypeError, SyntaxError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:  # simulate's dense matrix on a few thousand wires
+        print("error: out of memory", file=sys.stderr)
         return 1
     return 0
 

@@ -10,6 +10,7 @@ netlists provides an independent check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -143,11 +144,17 @@ def is_query_pbs_optimal_single(d: Term) -> bool:
 # brute-force minimum
 # ---------------------------------------------------------------------------
 
-def _gate_options(bounds: dict[str, int]) -> list[tuple[Gen, ...]]:
+def _gate_options(bounds: dict[str, int]) -> tuple[tuple[Gen, ...], ...]:
     """All gate multisets whose letter counts hit the bounds exactly."""
+    return _gate_options_of(tuple(sorted(bounds.items())))
+
+
+@functools.cache
+def _gate_options_of(bounds: tuple[tuple[str, int], ...]) -> tuple[tuple[Gen, ...], ...]:
+    """_gate_options of the sorted (letter, bound) items, built once per process."""
     letters: list[str] = []
-    for u in sorted(bounds):
-        letters.extend([u] * bounds[u])
+    for u, k in bounds:
+        letters.extend([u] * k)
     word_splits: set[tuple[Word, ...]] = set()
     for perm in set(itertools.permutations(letters)):
         for cuts in itertools.product([0, 1], repeat=max(len(perm) - 1, 0)):
@@ -162,7 +169,7 @@ def _gate_options(bounds: dict[str, int]) -> list[tuple[Gen, ...]]:
     for words in word_splits:
         for kinds in itertools.product(sorted(GATE_KINDS), repeat=len(words)):
             options.add(tuple(sorted(zip(kinds, words))))
-    return [tuple(itertools.starmap(Gen, o)) for o in sorted(options)]
+    return tuple(tuple(itertools.starmap(Gen, o)) for o in sorted(options))
 
 
 def _realises(t: SemanticsTable, nodes: list[Gen]) -> bool:
@@ -252,6 +259,27 @@ def _balance(nodes: tuple[Gen, ...]) -> tuple[int, int, int]:
     return bal[T], bal[V], bal[H]
 
 
+_PBS_BOXES = tuple(map(Gen, sorted(PBS_KINDS)))
+_NEG_BOXES = tuple(map(Gen, sorted(NEG_KINDS)))
+
+
+@functools.cache
+def _pbs_sets(n_pbs: int) -> tuple[tuple[tuple[Gen, ...], tuple[int, int, int]], ...]:
+    """Each multiset of n_pbs PBS, in combinations_with_replacement order, with its balance."""
+    combos = itertools.combinations_with_replacement(_PBS_BOXES, n_pbs)
+    return tuple((pbs, _balance(pbs)) for pbs in combos)
+
+
+@functools.cache
+def _negs_by_balance(neg_budget: int) -> dict[tuple[int, int, int], tuple[tuple[Gen, ...], ...]]:
+    """The multisets of at most neg_budget negations bucketed by balance, fewest first."""
+    buckets: dict[tuple[int, int, int], list[tuple[Gen, ...]]] = {}
+    for nn in range(neg_budget + 1):
+        for negs in itertools.combinations_with_replacement(_NEG_BOXES, nn):
+            buckets.setdefault(_balance(negs), []).append(negs)
+    return {b: tuple(negs) for b, negs in buckets.items()}
+
+
 def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) -> int:
     """Least PBS count over all small diagrams realising the table.
 
@@ -265,7 +293,12 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     balance makes up the table's ``out_type`` minus ``in_type``, so the
     negation multisets are bucketed by balance once and each PBS
     multiset looks up the bucket for the rest.  The balanced candidates
-    reach ``_realises`` in the order of the full enumeration.  A table
+    reach ``_realises`` in the order of the full enumeration.  Only that
+    lookup and the wiring search depend on the table: the PBS multisets
+    per count, the negation buckets per budget and the gate options per
+    letter multiset, with their balances, are built once per process and
+    shared by every search.  That is sound because a ``Gen`` is frozen
+    and ``_realises`` only reads the boxes it is handed.  A table
     whose rows are not exactly the configurations of its input type is
     refused; one that is but is not a bijection ends in ``NotFound``.
 
@@ -288,14 +321,11 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
         raise PreconditionViolated("more than 2 oracle letters in the table")
 
     gate_sets = _gate_options(bounds)
-    negs_by_balance: dict[tuple[int, int, int], list[tuple[Gen, ...]]] = {}
-    for nn in range(neg_budget + 1):
-        for negs in itertools.combinations_with_replacement(map(Gen, sorted(NEG_KINDS)), nn):
-            negs_by_balance.setdefault(_balance(negs), []).append(negs)
+    negs_by_balance = _negs_by_balance(neg_budget)
     need = tuple(t.out_type.count(c) - t.in_type.count(c) for c in (T, V, H))
     for n_pbs in range(max_pbs + 1):
-        for pbs in itertools.combinations_with_replacement(map(Gen, sorted(PBS_KINDS)), n_pbs):
-            rest = tuple(n - p for n, p in zip(need, _balance(pbs)))
+        for pbs, balance in _pbs_sets(n_pbs):
+            rest = tuple(n - p for n, p in zip(need, balance))
             for negs in negs_by_balance.get(rest, ()):
                 for gates in gate_sets:
                     if _realises(t, [*pbs, *negs, *gates]):

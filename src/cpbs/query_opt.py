@@ -138,12 +138,13 @@ def _optimize_queries(d: Term) -> tuple[Netlist, SemanticsTable, list[RuleInstan
     optimal), the input's table and the site of each step, unhashed; only the
     queries are certified.
 
-    A split costs O(k) in the matcher, but each step's splice searches the
-    wires for its out-legs and the matcher reprs a site key holding an O(k)
-    rest word, so a run is quadratic: 0.27-0.36 s on 2,000 letters, chained
-    or in one gate, and 0.85-1.4 s on 4,000 (Python 3.11, 2 vCPUs).  Under
-    cProfile at 2,000 the site keys' ``repr`` takes 0.13 of 0.43-0.52 s, the
-    searches 0-0.09 s."""
+    A split costs O(k) in the matcher, and its lone site is never sorted, so
+    no site key reprs the O(k) rest word; but each step's splice searches the
+    wires for its out-legs and copies the rest word, so a run is still
+    quadratic.  Chained / in one gate (Python 3.11, 2 vCPUs): 0.16-0.19 /
+    0.23-0.26 s on 2,000 letters, 0.38-0.39 / 0.80-0.84 s on 4,000 and
+    1.36 / 3.3-3.6 s on 8,000.  Under cProfile on the 4,000-letter gate the
+    out-leg searches take 0.57 of 1.73 s."""
     n = to_netlist(d)
     t = semantics_table(n)
     bounds = query_lower_bounds(t)

@@ -173,10 +173,12 @@ def match_at(n: Netlist, rule_id: str, direction: str, nodes: Iterable[int]) -> 
     These are exactly the instances find_matches returns with their
     nodes among ``nodes``, in the order of their site keys; the node
     matcher tries no other host node.  A wire pattern matches no node,
-    so every one of its sites qualifies.
+    so every one of its sites qualifies.  A lone site is not sorted:
+    its key would ``repr`` the O(k) rest word a split binds.
     """
     out = _matches(n, rule_id, direction, nodes, n.wires, range(len(n.loops)))
-    out.sort(key=RuleInstance.site_key)
+    if len(out) > 1:
+        out.sort(key=RuleInstance.site_key)
     return out
 
 

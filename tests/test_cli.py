@@ -1,6 +1,8 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cpbs
+import cpbs.quantum
 from cpbs.cli import build_parser, main
+from cpbs.randgen import random_diagram
+from cpbs.textform import _token_texts, print_term
 
 SWITCH = "tr[T](pbs ; (gate[U] | gate[V]) ; swap[T,T] ; pbs)\n"
 HALF_LEFT = "gate[U,H] | gate[U,V]\n"
@@ -199,6 +206,15 @@ class TestExitCodes:
         assert code == 1
         assert "odd degree" in err
 
+    def test_out_of_memory_is_a_domain_error(self, files, capsys, monkeypatch):
+        # simulate's dense matrix is what a few thousand wires cannot allocate
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cpbs.quantum, "quantum_matrix", no_memory)
+        code, out, err = run(capsys, "simulate", files("d.cpbs", SWITCH))
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -212,6 +228,68 @@ class TestExitCodes:
         assert err == "error: CPBS_SEED must be an integer, got 'abc'\n"
         code, out, err = run(capsys, "check", files("d.cpbs", SWITCH))  # only reduce-ecd reads it
         assert (code, out, err) == (0, "(T) -> (T)\n", "")
+
+
+# the spellings the grammar knows, some it does not, and graph-file text
+TOKENS = [
+    "pbs", "pbs[TV.VT]", "pbs[VT.TV]", "pbs[HT.HT]", "pbs[TH.TH]", "pbs[TT.TT]",
+    "split", "split[HV]", "merge", "merge[HV]", "neg", "neg[VH]", "neg[HV]",
+    "id[T]", "id[V]", "id[H]", "id[]", "swap[T,V]", "swap[H,H]", "swap[T]",
+    "perm[T,V;1,0]", "perm[V,H,T;2,0,1]", "perm[T;1]",
+    "gate[U]", "gate[V,H]", "gate[U.V]", "gate[]", "gate[,V]", "gate[U..V]",
+    "tr[T]", "tr[V]", "tr[H]", "tr[]", ";", "|", "(", ")", "[", "]", ",",
+    "#", "\n", "wat", "A", "B", "0", "7",
+]
+COMMANDS = [
+    "check", "table", "normalize", "opt-queries", "opt-pbs", "bounds",
+    "simulate", "export-dot", "reduce-ecd",
+]
+
+
+@st.composite
+def fuzzed_texts(draw):
+    """Token soup, or a printed random diagram with one token inserted,
+    deleted, swapped for another or exchanged with its neighbour; paired
+    with the unmutated text, which ``equal`` compares against."""
+    token = st.sampled_from(TOKENS)
+    if draw(st.booleans()):
+        text = " ".join(draw(st.lists(token, max_size=30)))
+        return text, text
+    d = random_diagram(draw(st.integers(0, 10**6)), max_generators=12)
+    toks = _token_texts(print_term(d))
+    i = draw(st.integers(0, len(toks)))
+    mutated = list(toks)
+    op = draw(st.sampled_from(["insert", "delete", "swap", "exchange"]))
+    if op == "insert":
+        mutated.insert(i, draw(token))
+    elif i < len(toks):
+        if op == "delete":
+            del mutated[i]
+        elif op == "swap":
+            mutated[i] = draw(token)
+        elif i + 1 < len(toks):
+            mutated[i], mutated[i + 1] = mutated[i + 1], mutated[i]
+    return " ".join(mutated), " ".join(toks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fuzzed_texts())
+def test_every_subcommand_answers_or_errors_cleanly(tmp_path_factory, texts):
+    # no traceback on any text: exit 0, 1 or 2, and nothing on stdout after
+    # an error but `equal`'s verdict
+    path_a = tmp_path_factory.getbasetemp() / "fuzz_a.cpbs"
+    path_b = path_a.with_name("fuzz_b.cpbs")
+    path_a.write_text(texts[0])
+    path_b.write_text(texts[1])
+    calls = [[cmd, str(path_a)] for cmd in COMMANDS] + [["equal", str(path_a), str(path_b)]]
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, texts)
+        if code:
+            allowed = ("", "not equivalent\n") if argv[0] == "equal" else ("",)
+            assert out.getvalue() in allowed, (argv, texts)
 
 
 class TestDeterminism:

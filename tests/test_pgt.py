@@ -670,6 +670,37 @@ class TestBruteForce:
                 _counter_filtered_min_pbs(*search)
         assert answers[True] and answers[False]
 
+    def test_candidate_lists_are_built_once_per_process(self, monkeypatch):
+        # the box multisets and gate options depend only on the letters, the
+        # PBS count and the negation budget, so a warm search builds no box
+        rng = random.Random(3)
+        searches = []
+        for i in range(40):
+            d = random_diagram(rng, max_generators=10, max_wires=3, letters=("U", "V"),
+                               single_query=True, gate_free=i % 3 == 0)
+            searches.append((semantics_table(d), to_pgt_form(optimize_queries(d)).count_pbs(), i % 4))
+        assert {sum(query_lower_bounds(t).values()) for t, _, _ in searches} == {0, 1, 2}
+        built = 0
+        real = Gen.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            real(self)
+
+        monkeypatch.setattr(Gen, "__post_init__", counting)
+        verdicts = []
+        for _ in range(2):
+            built = 0
+            verdicts.append([])
+            for search in searches:
+                try:
+                    verdicts[-1].append(brute_force_min_pbs(*search))
+                except NotFound:
+                    verdicts[-1].append(None)
+        assert built == 0
+        assert verdicts[0] == verdicts[1] and None in verdicts[0] and 2 in verdicts[0]
+
     def test_table_rows_must_be_its_input_configurations(self):
         no_rows = SemanticsTable((T,), (T,), {})
         one_row = SemanticsTable((T,), (T,), {(V, 0): ((V, 0), ())})
