@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from operator import add
 from typing import Callable, Iterator, Sequence
@@ -32,6 +31,7 @@ Word = tuple[str, ...]
 Configuration = tuple[Colour, int]  # (polarisation, position)
 
 T, V, H = Colour.T, Colour.V, Colour.H
+_COLOURS = (T, V, H)
 
 _LETTER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -113,10 +113,10 @@ _STRUCT_SLOTS = {"id": (0,), "swap": (1, 0)}
 
 
 class Term:
-    """Base class for diagram terms.  The composites Seq, Par and Trace are
-    frozen slotted values; they compare, hash and print with the methods
-    below, on explicit stacks, so a term of any depth stays within the
-    recursion limit.  Gen and Empty are frozen dataclasses with their own."""
+    """Base class for diagram terms.  All five term types are frozen slotted
+    values.  The composites Seq, Par and Trace compare, hash and print with
+    the methods below, on explicit stacks, so a term of any depth stays
+    within the recursion limit; the leaves Gen and Empty have their own."""
 
     __slots__ = ()
 
@@ -151,12 +151,44 @@ class Term:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class Gen(Term):
+class _Composite(Term):
+    """The base of all five term types, each a frozen value.  The fields are
+    slots, set once by the constructor through their descriptors: a node
+    builds in about 200 ns, where a frozen dataclass, which sets each field
+    through ``object.__setattr__``, takes about 330.  A write raises the
+    dataclasses error, imported only then, so ``import cpbs`` loads neither
+    ``dataclasses`` nor the ``inspect`` it imports."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Gen(_Composite):
+    __slots__ = ("kind", "word", "colours", "slots")
     kind: str
-    word: Word = ()
-    colours: tuple[Colour, ...] = ()
-    slots: tuple[int, ...] = ()  # perm only: the output slot of each input wire
+    word: Word
+    colours: tuple[Colour, ...]
+    slots: tuple[int, ...]  # perm only: the output slot of each input wire
+
+    def __init__(self, kind: str, word: Word = (), colours: tuple[Colour, ...] = (),
+                 slots: tuple[int, ...] = ()) -> None:
+        _set_kind(self, kind)
+        _set_word(self, word)
+        _set_colours(self, colours)
+        _set_slots(self, slots)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.slots and self.kind != "perm":
@@ -173,6 +205,22 @@ class Gen(Term):
                 raise ValueError(f"perm takes no word and slots permuting its {n} wires")
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for c in self.colours:
+            if c not in _COLOURS:  # by equality, so the strings "T", "V" and "H" pass too
+                raise ValueError(f"{self.kind} wires are coloured T, V or H, not {c!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Gen:
+            return NotImplemented
+        return ((self.kind, self.word, self.colours, self.slots)
+                == (other.kind, other.word, other.colours, other.slots))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.word, self.colours, self.slots))
+
+    def __repr__(self) -> str:
+        return (f"Gen(kind={self.kind!r}, word={self.word!r}, colours={self.colours!r},"
+                f" slots={self.slots!r})")
 
     @property
     def wire_slots(self) -> tuple[int, ...]:
@@ -213,24 +261,6 @@ def _preorder(d: Term) -> list:
     return out
 
 
-class _Composite(Term):
-    """A frozen value like the dataclasses beside it.  The fields are slots,
-    set once by the constructor through their descriptors: a node builds
-    in about 200 ns, where a frozen dataclass, which sets each field
-    through ``object.__setattr__``, takes about 330."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-
 class Seq(_Composite):
     """first, then second (diagrammatic left-to-right order)."""
 
@@ -268,11 +298,23 @@ class Trace(_Composite):
 _set_first, _set_second = Seq.first.__set__, Seq.second.__set__
 _set_top, _set_bottom = Par.top.__set__, Par.bottom.__set__
 _set_colour, _set_body = Trace.colour.__set__, Trace.body.__set__
+_set_kind, _set_word = Gen.kind.__set__, Gen.word.__set__
+_set_colours, _set_slots = Gen.colours.__set__, Gen.slots.__set__
 
 
-@dataclass(frozen=True)
-class Empty(Term):
-    pass
+class Empty(_Composite):
+    """The term of no wires: the empty sequential or parallel composition."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if type(other) is Empty else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "Empty()"
 
 
 # ---------------------------------------------------------------------------

@@ -382,13 +382,19 @@ LAZY_LOADING_SCRIPT = """
 import contextlib, io, json, sys
 def modules():
     return sorted(n.removeprefix("cpbs.") for n in sys.modules if n.startswith("cpbs."))
+def stdlib(when):
+    for name in ("dataclasses", "inspect"):
+        seen[when + "_" + name] = name in sys.modules
 import cpbs
 seen = {"import": "numpy" in sys.modules, "import_modules": modules()}
+stdlib("import")
 import cpbs.cli
 for command in ("check", "table", "opt-pbs"):
     with contextlib.redirect_stdout(io.StringIO()):
         seen[command + "_exit"] = cpbs.cli.main([command, sys.argv[1]])
     seen[command + "_modules"] = modules()
+    if command == "check":
+        stdlib("check")
 seen["check"] = "numpy" in sys.modules
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -405,7 +411,8 @@ TERM_LANGUAGE = ["errors", "terms", "textform"]
 
 
 def test_numpy_loads_only_for_the_quantum_semantics(files):
-    # and each subcommand loads only the cpbs modules it runs
+    # and each subcommand loads only the cpbs modules it runs; the term
+    # language and `check` load no dataclasses (nor the inspect it imports)
     src = str(Path(cpbs.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
@@ -415,8 +422,12 @@ def test_numpy_loads_only_for_the_quantum_semantics(files):
     assert json.loads(done.stdout) == {
         "import": False,
         "import_modules": TERM_LANGUAGE,
+        "import_dataclasses": False,
+        "import_inspect": False,
         "check_exit": 0,
         "check_modules": sorted(TERM_LANGUAGE + ["cli"]),
+        "check_dataclasses": False,
+        "check_inspect": False,
         "table_exit": 0,
         "table_modules": sorted(TERM_LANGUAGE + ["cli", "netlist", "semantics"]),
         "opt-pbs_exit": 0,

@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
+import itertools
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 
+import numpy as np
 import pytest
 
+from cpbs import gallery
 from cpbs.errors import InvalidDecomposition
 from cpbs.hardness import CycleDecomposition, diagram_from_decomposition, parse_graph
 from cpbs.netlist import to_netlist
+from cpbs.quantum import interpret
 from cpbs.randgen import random_diagram
 from cpbs.rewrite import find_matches
+from cpbs.rules import RULES
 from cpbs.terms import (
     Colour,
     Empty,
@@ -28,6 +34,7 @@ from cpbs.terms import (
     gate_h,
     gate_t,
     gate_v,
+    generators,
     ident,
     identity_of,
     letter_counts,
@@ -43,6 +50,7 @@ from cpbs.terms import (
     pbs_th_th,
     pbs_tv_vt,
     pbs_vt_tv,
+    perm,
     seq,
     split_hv,
     split_vh,
@@ -123,6 +131,8 @@ def test_gen_validation():
         Gen("id", colours=(T, V))
     with pytest.raises(ValueError):
         Gen("frobnicate")
+    # a colour is checked by equality, so its plain letter passes
+    assert Gen("swap", colours=("T", "V")) == swap(T, V)
 
 
 def test_wiring_leaves_are_shared_values():
@@ -178,10 +188,14 @@ COMPOSITES = [
     Seq(split_vh(), par(gate_v("U"), gate_h("V"))),
     Par(ident(T), Trace(V, swap(V, V))),
     Trace(T, seq(pbs4(), par(gate_t("UV"), ident(T)), pbs4())),
+    gate_v("UVU"),
+    perm((T, V, H), (2, 0, 1)),
+    ident(T),
+    Empty(),
 ]
 
 
-@pytest.mark.parametrize("d", COMPOSITES, ids=["Seq", "Par", "Trace"])
+@pytest.mark.parametrize("d", COMPOSITES, ids=["Seq", "Par", "Trace", "gate", "perm", "ident", "Empty"])
 def test_composites_are_frozen_slotted_values(d):
     assert not hasattr(d, "__dict__")
     for name in type(d).__slots__:
@@ -195,6 +209,42 @@ def test_composites_are_frozen_slotted_values(d):
         assert type(twin) is type(d)
         assert twin == d
         assert hash(twin) == hash(d)
+
+
+@dataclass(frozen=True)
+class GenRecord:
+    """Gen as the frozen dataclass it was: the reference for its value semantics."""
+
+    kind: str
+    word: tuple = ()
+    colours: tuple = ()
+    slots: tuple = ()
+
+
+def _leaf_sample() -> list[Gen]:
+    """Generators from the gallery, 200 random draws, both sides of every rule
+    (words of WVars) and one interpreted diagram (words of MatrixLabels), one
+    entry per object."""
+    terms = [f() for _, f in inspect.getmembers(gallery, inspect.isfunction)
+             if f.__module__ == gallery.__name__ and not inspect.signature(f).parameters]
+    terms += (random_diagram(s) for s in range(200))
+    terms += (side for r in RULES.values() for side in (r.lhs, r.rhs))
+    pauli = {"U": np.array([[0, 1], [1, 0]]), "V": np.array([[1, 0], [0, -1]])}
+    terms.append(interpret(gallery.three_query_circuit(), pauli))
+    return list({id(g): g for d in terms for g in generators(d)}.values())
+
+
+def test_gens_are_the_values_the_dataclass_was():
+    sample = _leaf_sample()
+    assert {"WVar", "MatrixLabel"} <= {type(w).__name__ for g in sample for w in g.word}
+    records = [GenRecord(g.kind, g.word, g.colours, g.slots) for g in sample]
+    for g, r in zip(sample, records):
+        assert repr(g) == repr(r).replace("GenRecord(", "Gen(", 1)
+        assert hash(g) == hash(r)
+    for (g1, r1), (g2, r2) in itertools.combinations(zip(sample, records), 2):
+        assert (g1 == g2) is (r1 == r2)
+    assert Empty() == Empty() and hash(Empty()) == hash(()) and repr(Empty()) == "Empty()"
+    assert Empty() != ident(T) and ident(T) != Empty()
 
 
 # SHA-1 of repr(random_diagram(s)) for s = 0..499, taken when Seq, Par and
@@ -216,13 +266,16 @@ def test_random_diagrams_build_and_print_as_before():
     (lambda: Gen("id", colours=(Colour.T,), slots=(0,)), (ValueError, "id takes no slots")),
     (lambda: Gen("perm", colours=(Colour.T, Colour.T), slots=(0, 0)),
      (ValueError, "perm takes no word and slots permuting its 2 wires")),
+    (lambda: Gen("id", colours=("X",)), (ValueError, "id wires are coloured T, V or H, not 'X'")),
+    (lambda: Gen("perm", colours=(Colour.T, "Q"), slots=(1, 0)),
+     (ValueError, "perm wires are coloured T, V or H, not 'Q'")),
     (lambda: find_matches(to_netlist(gate_v("U")), "AX1", "X"),
      (ValueError, "direction must be L2R or R2L, not 'X'")),
     (lambda: diagram_from_decomposition(parse_graph("A A"), CycleDecomposition(((),))),
      (InvalidDecomposition, "empty cycle")),
     (lambda: seq(), Empty()),
     (lambda: par(), Empty()),
-], ids=["as_word", "id_slots", "perm_slots", "direction", "empty_cycle", "seq", "par"])
+], ids=["as_word", "id_slots", "perm_slots", "id_colour", "perm_colour", "direction", "empty_cycle", "seq", "par"])
 def test_public_input_checks(call, want):
     if isinstance(want, tuple):
         with pytest.raises(want[0]) as e:
