@@ -183,8 +183,7 @@ def _gen_lines(d: Gen) -> tuple[_LineMap, int, int]:
     if d.kind in STRUCT_KINDS:
         lines = {(c, p): ((c, d.wire_slots[p]), ()) for c, p in configurations(a)}
     else:
-        word = d.word if d.kind.startswith("gate") else ()
-        lines = {src: (dst, word) for src, dst in _GEN_LINES[d.kind].items()}
+        lines = {src: (dst, d.word) for src, dst in _GEN_LINES[d.kind].items()}
     return lines, len(a), len(b)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import NotFound, NotQueryOptimal, PreconditionViolated
 from .netlist import Netlist, to_netlist
 from .query_opt import _queries, query_lower_bounds
-from .semantics import SemanticsTable, _certify, chase, semantics_table
+from .semantics import SemanticsTable, _certify, _walks, chase, semantics_table
 from .stairs import StairForm, synthesize_stair_form
 from .terms import (
     _GATE_COLOUR,
@@ -27,7 +27,6 @@ from .terms import (
     NEG_KINDS,
     PBS_KINDS,
     Colour,
-    Configuration,
     Gen,
     Term,
     Trace,
@@ -71,34 +70,15 @@ class PgtForm:
 def _cut(n: Netlist) -> tuple[dict[int, Colour], SemanticsTable]:
     """The gates to cut, and the table of the diagram with them cut.
 
-    Each input photon, in position order, is chased from gate to gate.
-    A gate that queries an oracle takes its trace slot the first time a
-    photon reaches it, and the colour of the polarisations reaching it
-    (T for both); an empty-word gate is a plain wire and stays in the
-    core.  In the residual table gate i's input port is extra output
-    |b|+i and its output port extra input |a|+i, so the residual is
-    gate-free by construction.  No two photons reach a gate in one
-    polarisation (see ``chase``), so each residual input is chased once.
+    Each gate that queries an oracle is a stop of ``semantics._walks``,
+    which gives it its trace slot, and takes the colour of the
+    polarisations reaching it (T for both); an empty-word gate is a
+    plain wire and stays in the core.  So the residual is gate-free.
     """
-    sink_at = n.sink_of()
-    stop = {nid for nid, node in n.nodes.items() if node.kind in GATE_KINDS and node.word}
-    slot: dict[int, int] = {}
-    reach: dict[int, set[Colour]] = {}
-    exits: dict[Configuration, tuple[Configuration, Word]] = {}
-    for start in configurations(n.in_type):
-        pol, src = start[0], ("bin", start[1])
-        while True:
-            end, pol, _ = chase(sink_at, n.nodes, src, pol, stop)
-            if end[0] == "bout":
-                exits[start] = (pol, end[1]), ()
-                break
-            i = slot.setdefault(end[1], len(slot))
-            reach.setdefault(end[1], set()).add(pol)
-            exits[start] = (pol, len(n.out_type) + i), ()
-            start, src = (pol, len(n.in_type) + i), ("nout", end[1], 0)
+    exits, reach = _walks(n, {nid for nid, node in n.nodes.items() if node.word})
     cut = {nid: T if len(pols) == 2 else pols.pop() for nid, pols in reach.items()}
     cs = tuple(cut.values())
-    entries = {c: exits[c] for c in configurations(n.in_type + cs)}
+    entries = {c: exits[c] for c in configurations(n.in_type + cs)}  # rows in canonical order
     return cut, SemanticsTable(n.in_type + cs, n.out_type + cs, entries)
 
 
@@ -264,20 +244,17 @@ _NEG_BOXES = tuple(map(Gen, sorted(NEG_KINDS)))
 
 
 @functools.cache
-def _pbs_sets(n_pbs: int) -> tuple[tuple[tuple[Gen, ...], tuple[int, int, int]], ...]:
-    """Each multiset of n_pbs PBS, in combinations_with_replacement order, with its balance."""
-    combos = itertools.combinations_with_replacement(_PBS_BOXES, n_pbs)
-    return tuple((pbs, _balance(pbs)) for pbs in combos)
-
-
-@functools.cache
-def _negs_by_balance(neg_budget: int) -> dict[tuple[int, int, int], tuple[tuple[Gen, ...], ...]]:
-    """The multisets of at most neg_budget negations bucketed by balance, fewest first."""
+def _box_sets(n_pbs: int, neg_budget: int) -> dict[tuple[int, int, int], tuple[tuple[Gen, ...], ...]]:
+    """Each multiset of n_pbs PBS and at most neg_budget negations, bucketed by
+    balance: PBS multisets in combinations_with_replacement order, each with
+    its negations fewest first."""
+    negs = [ns for k in range(neg_budget + 1)
+            for ns in itertools.combinations_with_replacement(_NEG_BOXES, k)]
     buckets: dict[tuple[int, int, int], list[tuple[Gen, ...]]] = {}
-    for nn in range(neg_budget + 1):
-        for negs in itertools.combinations_with_replacement(_NEG_BOXES, nn):
-            buckets.setdefault(_balance(negs), []).append(negs)
-    return {b: tuple(negs) for b, negs in buckets.items()}
+    for pbs in itertools.combinations_with_replacement(_PBS_BOXES, n_pbs):
+        for ns in negs:
+            buckets.setdefault(_balance(pbs + ns), []).append(pbs + ns)
+    return {b: tuple(boxes) for b, boxes in buckets.items()}
 
 
 def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) -> int:
@@ -290,17 +267,17 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
     input ports and the table's outputs.  A gate maps its one wire's
     colour to itself, so only the PBS and negations move that balance:
     a PBS and negation multiset meets the gate multisets only when its
-    balance makes up the table's ``out_type`` minus ``in_type``, so the
-    negation multisets are bucketed by balance once and each PBS
-    multiset looks up the bucket for the rest.  The balanced candidates
-    reach ``_realises`` in the order of the full enumeration.  Only that
-    lookup and the wiring search depend on the table: the PBS multisets
-    per count, the negation buckets per budget and the gate options per
-    letter multiset, with their balances, are built once per process and
-    shared by every search.  That is sound because a ``Gen`` is frozen
-    and ``_realises`` only reads the boxes it is handed.  A table
-    whose rows are not exactly the configurations of its input type is
-    refused; one that is but is not a bijection ends in ``NotFound``.
+    balance makes up the table's ``out_type`` minus ``in_type``, so those
+    multisets are bucketed by balance once per PBS count and negation
+    budget, and each count looks up the one bucket the table needs.  The
+    balanced candidates reach ``_realises`` in the order of the full
+    enumeration.  Only that lookup and the wiring search depend on the
+    table: the balance buckets and the gate options per letter multiset
+    are built once per process and shared by every search.  That is
+    sound because a ``Gen`` is frozen and ``_realises`` only reads the
+    boxes it is handed.  A table whose rows are not exactly the
+    configurations of its input type is refused; one that is but is not
+    a bijection ends in ``NotFound``.
 
     The caps bound the exhaustive search that a ``NotFound`` costs.  On a
     2-vCPU machine, at 6 configurations, 2 queries and 2 negations, one
@@ -321,13 +298,10 @@ def brute_force_min_pbs(t: SemanticsTable, max_pbs: int, neg_budget: int = 2) ->
         raise PreconditionViolated("more than 2 oracle letters in the table")
 
     gate_sets = _gate_options(bounds)
-    negs_by_balance = _negs_by_balance(neg_budget)
     need = tuple(t.out_type.count(c) - t.in_type.count(c) for c in (T, V, H))
     for n_pbs in range(max_pbs + 1):
-        for pbs, balance in _pbs_sets(n_pbs):
-            rest = tuple(n - p for n, p in zip(need, balance))
-            for negs in negs_by_balance.get(rest, ()):
-                for gates in gate_sets:
-                    if _realises(t, [*pbs, *negs, *gates]):
-                        return n_pbs
+        for boxes in _box_sets(n_pbs, neg_budget).get(need, ()):
+            for gates in gate_sets:
+                if _realises(t, [*boxes, *gates]):
+                    return n_pbs
     raise NotFound(f"no realisation within {max_pbs} PBS")

@@ -19,7 +19,7 @@ from .normal_form import _synthesize_nf
 from .rewrite import ProofStep, RuleInstance, match_at, splice
 from .rules import RULES
 from .semantics import SemanticsTable, _certify, semantics_table
-from .terms import GATE_KINDS, Term, Word
+from .terms import Term, Word
 
 # ---------------------------------------------------------------------------
 # counting and the lower bound
@@ -70,7 +70,7 @@ def _query_profile(n: Netlist, t: SemanticsTable) -> QueryProfile:
 
 def _queries(n: Netlist) -> Counter[str]:
     """Queries per letter, read off the netlist's gate nodes."""
-    return Counter(u for node in n.nodes.values() if node.kind in GATE_KINDS for u in node.word)
+    return Counter(u for node in n.nodes.values() for u in node.word)
 
 
 def is_query_optimal(d: Netlist | Term) -> bool:

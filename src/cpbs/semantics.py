@@ -3,8 +3,9 @@
 A diagram acts on configurations: pairs (polarisation, position) where
 the polarisation is V or H and the position indexes a wire of the
 boundary type.  Evaluation follows the photon through the netlist,
-collecting the oracle letters of the gates it crosses in trajectory
-order (first crossed first).
+each box moving it as ``terms._ACTION`` says, gates included, and
+collects the oracle letters of the gates it crosses in trajectory order
+(first crossed first).  ``_walks`` tables a netlist, and cuts its gates.
 """
 
 from __future__ import annotations
@@ -14,25 +15,9 @@ from typing import Container, Mapping, Sequence
 
 from .errors import InvalidConfiguration
 from .netlist import Netlist, Sink, Source, to_netlist
-from .terms import Colour, Configuration, GATE_KINDS, Gen, Term, WireType, Word, configurations
+from .terms import _ACTION, Colour, Configuration, Gen, Term, WireType, Word, configurations
 
 V, H = Colour.V, Colour.H
-
-# where a photon entering port k with the given polarisation leaves
-_ACTION: dict[str, dict[tuple[Colour, int], tuple[Colour, int]]] = {
-    "pbs4": {(V, 0): (V, 0), (V, 1): (V, 1), (H, 0): (H, 1), (H, 1): (H, 0)},
-    "pbs_tv_vt": {(V, 0): (V, 0), (H, 0): (H, 1), (V, 1): (V, 1)},
-    "pbs_vt_tv": {(V, 0): (V, 0), (V, 1): (V, 1), (H, 1): (H, 0)},
-    "pbs_ht_ht": {(H, 0): (H, 1), (V, 1): (V, 1), (H, 1): (H, 0)},
-    "pbs_th_th": {(V, 0): (V, 0), (H, 0): (H, 1), (H, 1): (H, 0)},
-    "split_vh": {(V, 0): (V, 0), (H, 0): (H, 1)},
-    "split_hv": {(V, 0): (V, 1), (H, 0): (H, 0)},
-    "merge_vh": {(V, 0): (V, 0), (H, 1): (H, 0)},
-    "merge_hv": {(V, 1): (V, 0), (H, 0): (H, 0)},
-    "neg_t": {(V, 0): (H, 0), (H, 0): (V, 0)},
-    "neg_vh": {(V, 0): (H, 0)},
-    "neg_hv": {(H, 0): (V, 0)},
-}
 
 
 @dataclass
@@ -63,10 +48,10 @@ def chase(
     source that ``sink_at`` does not wire (returned as ``end``).
 
     The walk always ends.  ``sink_at`` must wire no two sources to one
-    sink; each box's action is one-to-one on (polarisation, port) and a
-    gate keeps the polarisation, so each (source, polarisation) state
-    has at most one predecessor.  A walk must start at a boundary input,
-    which has none, or at the output of a node in ``stop``, whose one
+    sink; each box's action, gates included, is one-to-one on
+    (polarisation, port), so each (source, polarisation) state has at
+    most one predecessor.  A walk must start at a boundary input, which
+    has none, or at the output of a node in ``stop``, whose one
     predecessor ends the walk.  So no state of a walk comes round again.
     A walk may also resume from the unwired source where an earlier walk
     from a boundary input stopped, once ``sink_at`` wires it: it then
@@ -81,18 +66,40 @@ def chase(
             return snk, pol, tuple(word)
         _, nid, k = snk
         node = nodes[nid]
-        if node.kind in GATE_KINDS:
-            word.extend(node.word)
-            src = ("nout", nid, 0)
-        else:
-            pol, k = _ACTION[node.kind][(pol, k)]
-            src = ("nout", nid, k)
+        pol, k = _ACTION[node.kind][(pol, k)]
+        word += node.word  # only a gate has one
+        src = ("nout", nid, k)
 
 
-def _exit(n: Netlist, sink_at: dict[Source, Sink], start: Configuration) -> tuple[Configuration, Word]:
-    pol, pos = start
-    end, pol, word = chase(sink_at, n.nodes, ("bin", pos), pol)
-    return (pol, end[1]), word
+def _walks(
+    n: Netlist, stop: Container[int] = ()
+) -> tuple[dict[Configuration, tuple[Configuration, Word]], dict[int, set[Colour]]]:
+    """Walk each input configuration of ``n`` to the boundary.
+
+    A node in ``stop`` is cut: the first time a walk reaches it, it takes
+    the next cut slot i, its input port becoming extra output |b|+i and
+    its output port extra input |a|+i, and the walk goes on from its
+    output as that input's row.  Returns the rows, one per input
+    configuration of ``n`` and of each cut slot, and the polarisations
+    that reach each cut node, in slot order.  No two walks reach a node
+    in one polarisation (see ``chase``), so each row is walked once.
+    """
+    sink_at = n.sink_of()
+    slot: dict[int, int] = {}
+    reach: dict[int, set[Colour]] = {}
+    exits: dict[Configuration, tuple[Configuration, Word]] = {}
+    for start in configurations(n.in_type):
+        pol, src = start[0], ("bin", start[1])
+        while True:
+            end, pol, word = chase(sink_at, n.nodes, src, pol, stop)
+            if end[0] == "bout":
+                exits[start] = (pol, end[1]), word
+                break
+            i = slot.setdefault(end[1], len(slot))
+            reach.setdefault(end[1], set()).add(pol)
+            exits[start] = (pol, len(n.out_type) + i), word
+            start, src = (pol, len(n.in_type) + i), ("nout", end[1], 0)
+    return exits, reach
 
 
 def evaluate(n: Netlist | Term, start: Configuration) -> tuple[Configuration, Word]:
@@ -108,15 +115,14 @@ def evaluate(n: Netlist | Term, start: Configuration) -> tuple[Configuration, Wo
         raise InvalidConfiguration(
             f"wire {pos} has colour {n.in_type[pos].value}, not {pol.value}"
         )
-    return _exit(n, n.sink_of(), start)
+    end, pol, word = chase(n.sink_of(), n.nodes, ("bin", pos), pol)
+    return (pol, end[1]), word
 
 
 def semantics_table(n: Netlist | Term) -> SemanticsTable:
     """The full action of a diagram on all admitted input configurations."""
     n = n if isinstance(n, Netlist) else to_netlist(n)
-    sink_at = n.sink_of()
-    entries = {c: _exit(n, sink_at, c) for c in configurations(n.in_type)}
-    return SemanticsTable(n.in_type, n.out_type, entries)
+    return SemanticsTable(n.in_type, n.out_type, _walks(n)[0])
 
 
 def tables_equal(t1: SemanticsTable, t2: SemanticsTable) -> bool:

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from enum import Enum
 from operator import add
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 
 class Colour(str, Enum):
@@ -90,21 +90,36 @@ STRUCT_KINDS = frozenset({"id", "swap", "perm"})
 _GATE_COLOUR = {"gate_t": T, "gate_v": V, "gate_h": H}
 GATE_FOR = {c: kind for kind, c in _GATE_COLOUR.items()}  # colour -> gate kind
 
-# fixed signatures: every kind but id, swap and perm
+# where a photon entering port k of a box with the given polarisation leaves:
+# every kind but id, swap and perm, gates included
+_ACTION: dict[str, dict[Configuration, Configuration]] = {
+    "pbs4": {(V, 0): (V, 0), (V, 1): (V, 1), (H, 0): (H, 1), (H, 1): (H, 0)},
+    "pbs_tv_vt": {(V, 0): (V, 0), (H, 0): (H, 1), (V, 1): (V, 1)},
+    "pbs_vt_tv": {(V, 0): (V, 0), (V, 1): (V, 1), (H, 1): (H, 0)},
+    "pbs_ht_ht": {(H, 0): (H, 1), (V, 1): (V, 1), (H, 1): (H, 0)},
+    "pbs_th_th": {(V, 0): (V, 0), (H, 0): (H, 1), (H, 1): (H, 0)},
+    "split_vh": {(V, 0): (V, 0), (H, 0): (H, 1)},
+    "split_hv": {(V, 0): (V, 1), (H, 0): (H, 0)},
+    "merge_vh": {(V, 0): (V, 0), (H, 1): (H, 0)},
+    "merge_hv": {(V, 1): (V, 0), (H, 0): (H, 0)},
+    "neg_t": {(V, 0): (H, 0), (H, 0): (V, 0)},
+    "neg_vh": {(V, 0): (H, 0)},
+    "neg_hv": {(H, 0): (V, 0)},
+    "gate_t": {(V, 0): (V, 0), (H, 0): (H, 0)},
+    "gate_v": {(V, 0): (V, 0)},
+    "gate_h": {(H, 0): (H, 0)},
+}
+
+
+def _port_colours(configs: Collection[Configuration]) -> WireType:
+    """Each port's colour: T where both polarisations reach it, otherwise the one that does."""
+    pols = [{p for p, j in configs if j == k} for k in range(1 + max(k for _, k in configs))]
+    return tuple(T if len(ps) == 2 else ps.pop() for ps in pols)
+
+
+# fixed signatures, read off the actions: every kind but id, swap and perm
 _FIXED_TYPES: dict[str, tuple[WireType, WireType]] = {
-    "pbs4": ((T, T), (T, T)),
-    "pbs_tv_vt": ((T, V), (V, T)),
-    "pbs_vt_tv": ((V, T), (T, V)),
-    "pbs_ht_ht": ((H, T), (H, T)),
-    "pbs_th_th": ((T, H), (T, H)),
-    "split_vh": ((T,), (V, H)),
-    "split_hv": ((T,), (H, V)),
-    "merge_vh": ((V, H), (T,)),
-    "merge_hv": ((H, V), (T,)),
-    "neg_t": ((T,), (T,)),
-    "neg_vh": ((V,), (H,)),
-    "neg_hv": ((H,), (V,)),
-    **{kind: ((c,), (c,)) for kind, c in _GATE_COLOUR.items()},
+    kind: (_port_colours(action), _port_colours(action.values())) for kind, action in _ACTION.items()
 }
 NEG_FOR = {_FIXED_TYPES[kind][0][0]: kind for kind in NEG_KINDS}  # colour -> negation flipping it
 
@@ -571,7 +586,7 @@ def letter_counts(d: Term) -> Counter[str]:
     """Queries per oracle letter, summed over every gate in one walk."""
     out: Counter[str] = Counter()
     for g in generators(d):
-        if g.kind in GATE_KINDS:
+        if g.word:  # only a gate has one
             out.update(g.word)
     return out
 
@@ -598,7 +613,7 @@ def letters_of(d: Term) -> set[str]:
 
 
 def _gen_size(g: Gen) -> int:
-    return max(1, len(g.word)) if g.kind in GATE_KINDS else 1
+    return len(g.word) or 1
 
 
 def term_size(d: Term) -> int:

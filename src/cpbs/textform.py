@@ -276,6 +276,9 @@ def _gen_text(g: Gen) -> str:
     if text is not None:
         return text
     if g.kind in GATE_KINDS:
+        for u in g.word:  # a letter that is not a str fails in the join, as a TypeError
+            if isinstance(u, str) and not _LETTER_RE.match(u):
+                raise ValueError(f"cannot print oracle letter {u!r}: parse would not read it back")
         c = _GATE_COLOUR[g.kind]
         return f"gate[{'.'.join(g.word)}{'' if c is Colour.T else ',' + c.value}]"
     colours = ",".join(g.colours)  # a Colour is the str of its letter

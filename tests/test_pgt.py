@@ -523,9 +523,8 @@ def test_one_chase_per_photon_segment_cuts_as_two_passes_did():
 def test_pgt_step_chases_each_photon_segment_once(monkeypatch):
     # the switch's two photons each cross both gates: three segments apiece
     chased = []
-    monkeypatch.setattr(pgt, "chase", lambda *a: chased.append(a[2:4]) or chase(*a))
-    n = to_netlist(cpbs.gallery.quantum_switch())
-    pgt._to_pgt_form(n, semantics_table(n))
+    monkeypatch.setattr(cpbs.semantics, "chase", lambda *a: chased.append(a[2:4]) or chase(*a))
+    pgt._cut(to_netlist(cpbs.gallery.quantum_switch()))
     assert len(chased) == len(set(chased)) == 6
 
 

@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError, dataclass
 import numpy as np
 import pytest
 
+import cpbs.semantics
 from cpbs import gallery
 from cpbs.errors import InvalidDecomposition
 from cpbs.hardness import CycleDecomposition, diagram_from_decomposition, parse_graph
@@ -19,6 +20,8 @@ from cpbs.randgen import random_diagram
 from cpbs.rewrite import find_matches
 from cpbs.rules import RULES
 from cpbs.terms import (
+    _ACTION,
+    _FIXED_TYPES,
     Colour,
     Empty,
     Gen,
@@ -93,6 +96,34 @@ def test_generator_signatures():
     assert type_of(swap(V, H)) == ((V, H), (H, V))
     assert type_of(ident(T)) == ((T,), (T,))
     assert type_of(Empty()) == ((), ())
+
+
+# the signature table as it was written out before it was read off the actions
+_SIGNATURES = {
+    "pbs4": ((T, T), (T, T)),
+    "pbs_tv_vt": ((T, V), (V, T)),
+    "pbs_vt_tv": ((V, T), (T, V)),
+    "pbs_ht_ht": ((H, T), (H, T)),
+    "pbs_th_th": ((T, H), (T, H)),
+    "split_vh": ((T,), (V, H)),
+    "split_hv": ((T,), (H, V)),
+    "merge_vh": ((V, H), (T,)),
+    "merge_hv": ((H, V), (T,)),
+    "neg_t": ((T,), (T,)),
+    "neg_vh": ((V,), (H,)),
+    "neg_hv": ((H,), (V,)),
+    "gate_t": ((T,), (T,)),
+    "gate_v": ((V,), (V,)),
+    "gate_h": ((H,), (H,)),
+}
+
+
+def test_signatures_are_read_off_the_actions():
+    assert _FIXED_TYPES == _SIGNATURES
+    for ins, outs in _FIXED_TYPES.values():
+        assert type(ins) is type(outs) is tuple
+        assert all(type(c) is Colour for c in ins + outs)
+    assert cpbs.semantics._ACTION is _ACTION
 
 
 def test_composite_types():

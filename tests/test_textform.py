@@ -243,6 +243,18 @@ class TestPrint:
         assert print_term(gate_v("U")) == "gate[U,V]"
         assert print_term(gate_h(("A", "B"))) == "gate[A.B,H]"
 
+    @pytest.mark.parametrize("g, letter", [
+        (Gen("gate_v", ("U", "V.W")), "'V.W'"),  # would read back as three letters
+        (Gen("gate_t", ("a b",)), "'a b'"),  # would not parse
+    ])
+    def test_gate_letters_that_would_not_read_back_are_refused(self, g, letter):
+        with pytest.raises(ValueError, match=letter):
+            print_term(g)
+
+    def test_gate_letters_that_are_not_strings_stay_type_errors(self):
+        with pytest.raises(TypeError):
+            print_term(Gen("gate_t", (1,)))
+
     @pytest.mark.parametrize("seed", range(150))
     def test_random_round_trip(self, seed):
         d = random_diagram(seed)
